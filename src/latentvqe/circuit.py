@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import StateVector, _apply_1q, _apply_2q
+from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
+from .statevector import StateVector, _apply_1q
 
 PARAM_ARITY = {"U3": 3, "U1": 1, "RY": 1, "RZ": 1, "H": 0, "X": 0, "CNOT": 0}
 
@@ -147,24 +148,19 @@ def apply_cnot(amp: np.ndarray, targets) -> np.ndarray:
     return amp[_cnot_permutation(amp.shape[0], control, target)]
 
 
-def apply_circuit(
-    amp: np.ndarray, circuit: Circuit, params: np.ndarray, override: dict | None = None
-) -> np.ndarray:
-    """Run the gate list over a raw amplitude array (or a (2^n, batch) stack).
-
-    `override` maps a gate index to a fixed angle for that (single-angle)
-    gate, which is how the parameter-shift rule evaluates shifted circuits.
-    """
-    n = circuit.n_qubits
-    for gi, g in enumerate(circuit.gates):
-        if override is not None and gi in override:
-            amp = _apply_1q(amp, _MATRIX_FNS[g.kind](override[gi]), g.targets[0], n)
-            continue
+def apply_gates(amp: np.ndarray, gates, params: np.ndarray, n: int) -> np.ndarray:
+    """Apply `gates` in order to a raw amplitude array or a (2^n, batch) stack."""
+    for g in gates:
         if g.kind == "CNOT":
             amp = apply_cnot(amp, g.targets)
         else:
             amp = _apply_1q(amp, gate_matrix(g, params), g.targets[0], n)
     return amp
+
+
+def apply_circuit(amp: np.ndarray, circuit: Circuit, params: np.ndarray) -> np.ndarray:
+    """Run the circuit's gate list over a raw amplitude array (or a (2^n, batch) stack)."""
+    return apply_gates(amp, circuit.gates, params, circuit.n_qubits)
 
 
 def simulate(circuit: Circuit, params, initial: StateVector) -> StateVector:
@@ -266,9 +262,6 @@ def u3_to_zyz(circuit: Circuit) -> Circuit:
 
 # --- serialization ---------------------------------------------------------
 
-SCHEMA_VERSION = "latentvqe/1"
-
-
 def circuit_to_dict(circuit: Circuit) -> dict:
     gates = []
     for g in circuit.gates:
@@ -289,8 +282,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(doc: dict) -> Circuit:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported circuit schema {doc.get('schema_version')!r}")
+    require_schema(doc, "circuit")
     gates = []
     for rec in doc["gates"]:
         arity = PARAM_ARITY[rec["kind"]]
@@ -306,7 +298,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_dict(circuit), sort_keys=True, separators=(",", ":"))
+    return canonical_json(circuit_to_dict(circuit))
 
 
 def circuit_from_json(text: str) -> Circuit:

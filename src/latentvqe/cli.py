@@ -15,30 +15,26 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import mlp, qae
+from . import mlp
 from .ansatz import AnsatzSpec, build_ansatz, efficient_su2, strongly_entangling, uccsd_h2
+from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .circuit import resource_counts
 from .hamiltonian import (
     JacobiConvergenceError, exact_ground_energy, hamiltonian_for_distance,
     hamiltonian_from_json, hamiltonian_to_dict,
 )
 from .optimize import (
-    OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
-    dataset_to_csv, energy_fn, optimize_vqe, staged_gate_optimize,
+    NumericalError, OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
+    dataset_to_csv, optimize_vqe, staged_gate_optimize,
 )
-from .qae import QaeTrainingError, latent_vqe_circuit, qae_from_json, qae_to_json, train_qae
+from .qae import QaeTrainingError, latent_vqe_circuit, qae_from_json, qae_to_dict, train_qae
 from .rng import named_rng
-from .statevector import zero_state
-
-SCHEMA_VERSION = "latentvqe/1"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,24 +46,17 @@ class UpstreamArtifactError(RuntimeError):
     pass
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LATENTVQE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _subseed(seed: int, stream: str) -> int:
     return int(named_rng(seed, stream).integers(2**31 - 1))
-
-
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _write(path, canonical_json(doc) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -79,8 +68,12 @@ def _read_artifact(path: Path, loader, what: str):
         raise UpstreamArtifactError(f"{what} not found: {path}")
     try:
         return loader(path.read_text())
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UpstreamArtifactError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path: Path, what: str) -> dict:
+    return _read_artifact(path, lambda text: require_schema(json.loads(text), what), what)
 
 
 def _write_manifest(out: Path, command: str, config: dict, inputs, outputs, seed, t0: float):
@@ -96,7 +89,7 @@ def _write_manifest(out: Path, command: str, config: dict, inputs, outputs, seed
     for p in outputs:
         if not Path(p).exists():
             raise RuntimeError(f"declared output missing: {p}")
-    _write(Path(str(out) + ".manifest.json"), _dump_json(manifest))
+    _write_json(Path(str(out) + ".manifest.json"), manifest)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -118,43 +111,33 @@ def cmd_ham_build(args) -> int:
     if args.grid is not None:
         grid = args.grid
         files = [f"ham_{i:03d}.json" for i in range(len(grid))]
-
-        def build_one(i: int) -> None:
-            doc = hamiltonian_to_dict(hamiltonian_for_distance(float(grid[i])))
-            _write(out / files[i], _dump_json(doc))
-
-        workers = _threads()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(build_one, range(len(grid))))
-        else:
-            for i in range(len(grid)):
-                build_one(i)
+        for r, name in zip(grid, files):
+            _write_json(out / name, hamiltonian_to_dict(hamiltonian_for_distance(float(r))))
         index = {
             "schema_version": SCHEMA_VERSION,
             "kind": "hamiltonian-grid",
             "bond_lengths_angstrom": [float(r) for r in grid],
             "files": files,
         }
-        _write(out / "index.json", _dump_json(index))
+        _write_json(out / "index.json", index)
         outputs = [out / f for f in files] + [out / "index.json"]
         _write_manifest(out / "index.json", "ham build", {"grid": [float(r) for r in grid]},
                         [], outputs, args.seed, t0)
     else:
-        doc = hamiltonian_to_dict(hamiltonian_for_distance(args.distance))
-        _write(out, _dump_json(doc))
+        _write_json(out, hamiltonian_to_dict(hamiltonian_for_distance(args.distance)))
         _write_manifest(out, "ham build", {"distance": args.distance}, [], [out], args.seed, t0)
     return EXIT_OK
 
 
 def _load_ham_points(path: Path):
     """Returns [(bond_length, QubitHamiltonian)] from a single file or grid index."""
-    doc = _read_artifact(path, json.loads, "hamiltonian file")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise UpstreamArtifactError(f"schema mismatch in {path}")
+    doc = _read_json(path, "hamiltonian file")
     if doc.get("kind") == "hamiltonian-grid":
+        names = doc.get("files")
+        if not names or not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise UpstreamArtifactError(f"grid index {path} lists no hamiltonian file names")
         out = []
-        for name in doc["files"]:
+        for name in names:
             h = _read_artifact(path.parent / name, hamiltonian_from_json, "hamiltonian file")
             out.append((h.bond_length, h))
         return out
@@ -163,6 +146,22 @@ def _load_ham_points(path: Path):
 
 
 # --- vqe run -----------------------------------------------------------------
+
+_STAGED = OptimizerConfig(tolerance=1e-11, max_iterations=400)
+
+
+def _best_staged(circuit, hamiltonian, rng, restarts: int) -> dict:
+    """Best of `restarts` staged solves from random starts (ties keep the earlier one)."""
+    best = None
+    evals = 0
+    for _ in range(max(1, restarts)):
+        x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
+        res = staged_gate_optimize(circuit, hamiltonian, x0, _STAGED)
+        evals += res["evaluations"]
+        if best is None or res["energy"] < best["energy"]:
+            best = res
+    return {"params": best["params"], "energy": best["energy"], "evaluations": evals}
+
 
 def _latent_circuit_from(args):
     if not args.qae:
@@ -192,17 +191,7 @@ def cmd_vqe_run(args) -> int:
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
         oracle = exact_ground_energy(h)["energy"]
         if method == "staged":
-            best = None
-            evals = 0
-            for _ in range(max(1, args.restarts)):
-                x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-                res = staged_gate_optimize(
-                    circuit, h, x0, OptimizerConfig(tolerance=1e-11, max_iterations=400)
-                )
-                evals += res["evaluations"]
-                if best is None or res["energy"] < best["energy"]:
-                    best = res
-            res = {"params": best["params"], "energy": best["energy"], "evaluations": evals}
+            res = _best_staged(circuit, h, rng, args.restarts)
         else:
             cfg = OptimizerConfig(
                 method="ADAM_PARAM_SHIFT" if method == "adam" else "NELDER_MEAD",
@@ -237,7 +226,7 @@ def cmd_vqe_run(args) -> int:
         doc.update({k: results[0][k] for k in
                     ("bond_length", "energy", "oracle_energy", "error", "params", "evaluations")})
     out = Path(args.out)
-    _write(out, _dump_json(doc))
+    _write_json(out, doc)
     _write_manifest(out, "vqe run",
                     {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},
                     inputs, [out], args.seed, t0)
@@ -259,7 +248,7 @@ def cmd_qae_train(args) -> int:
     )
     model = train_qae(bond_lengths, config=config, target=args.target)
     out = Path(args.out)
-    _write(out, qae_to_json(model) + "\n")
+    _write_json(out, qae_to_dict(model))
     _write_manifest(out, "qae train",
                     {"bond_lengths": list(bond_lengths), "target": args.target,
                      "restarts": args.restarts},
@@ -281,22 +270,13 @@ def cmd_dataset_generate(args) -> int:
     hams = [hamiltonian_for_distance(float(r)) for r in grid]
     gt = exact_ground_energy(hams[anchor_idx])["energy"]
 
-    rng = named_rng(args.seed, "dataset/anchor")
-    best = None
-    for _ in range(max(1, args.restarts)):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-        res = staged_gate_optimize(
-            circuit, hams[anchor_idx], x0, OptimizerConfig(tolerance=1e-11, max_iterations=400)
-        )
-        if best is None or res["energy"] < best["energy"]:
-            best = res
+    best = _best_staged(circuit, hams[anchor_idx], named_rng(args.seed, "dataset/anchor"),
+                        args.restarts)
     anchor_error = best["energy"] - gt
 
     dataset = constrained_sweep(
         circuit, hams, anchor_idx, best["params"],
-        StepConstraint(alpha=args.alpha, gamma=args.gamma),
-        OptimizerConfig(tolerance=1e-11, max_iterations=400),
-        pqc_spec=pqc_spec,
+        StepConstraint(alpha=args.alpha, gamma=args.gamma), _STAGED, pqc_spec=pqc_spec,
     )
     out = Path(args.out)
     _write(out, dataset_to_csv(dataset))
@@ -324,7 +304,7 @@ def cmd_nn_train(args) -> int:
     )
     result = mlp.train(dataset, config)
     out = Path(args.out)
-    _write(out, mlp.model_to_json(result["model"]) + "\n")
+    _write_json(out, mlp.model_to_dict(result["model"]))
     _write_manifest(out, "nn train",
                     {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
                      "train_fraction": args.train_fraction, "loss": args.loss},
@@ -339,20 +319,7 @@ def cmd_nn_eval(args) -> int:
     model = _read_artifact(Path(args.model), mlp.model_from_json, "MLP model")
     qmodel = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
     grid = args.grid
-
-    workers = _threads()
-    if workers > 1:
-        chunks = np.array_split(np.asarray(grid, dtype=float), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda ch: mlp.evaluate_energy_mae(model, qmodel, ch)["per_point_errors"],
-                [c for c in chunks if len(c)],
-            ))
-        points = [p for part in parts for p in part]
-        ev = {"mae": float(np.mean([abs(p["error"]) for p in points])),
-              "per_point_errors": points}
-    else:
-        ev = mlp.evaluate_energy_mae(model, qmodel, [float(r) for r in grid])
+    ev = mlp.evaluate_energy_mae(model, qmodel, [float(r) for r in grid])
 
     pqc_counts = resource_counts(strongly_entangling(2, 1))
     lines = ["bond_length,energy,oracle_energy,abs_error"]
@@ -378,7 +345,7 @@ def cmd_nn_eval(args) -> int:
         ],
     }
     summary_path = Path(str(out) + ".summary.json")
-    _write(summary_path, _dump_json(summary))
+    _write_json(summary_path, summary)
     _write_manifest(out, "nn eval", {"grid": [float(r) for r in grid]},
                     [args.model, args.qae], [out, summary_path], args.seed, t0)
     print(f"energy MAE: {ev['mae']:.3e}")
@@ -388,9 +355,7 @@ def cmd_nn_eval(args) -> int:
 # --- report -------------------------------------------------------------------
 
 def _load_result(path: Path) -> dict:
-    doc = _read_artifact(path, json.loads, "result file")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise UpstreamArtifactError(f"schema mismatch in {path}")
+    doc = _read_json(path, "result file")
     if doc.get("kind") not in ("vqe-result", "nn-eval-summary"):
         raise UpstreamArtifactError(f"{path} is not a result file (kind={doc.get('kind')!r})")
     return doc
@@ -524,13 +489,10 @@ def main(argv=None) -> int:
     except UpstreamArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM
-    except (JacobiConvergenceError, QaeTrainingError) as exc:
+    except (JacobiConvergenceError, QaeTrainingError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        if "non-finite" in str(exc):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .statevector import PauliString, StateVector, pauli_sum_matrix
 
 ANGSTROM_TO_BOHR = 1.8897259886
@@ -350,7 +351,6 @@ def hartree_fock_state() -> StateVector:
 
 # --- serialization ----------------------------------------------------------
 
-SCHEMA_VERSION = "latentvqe/1"
 _ORDERING_NOTE = "pauli characters act on qubits 0..n-1 left to right; qubit 0 is the least-significant basis bit"
 
 
@@ -365,14 +365,13 @@ def hamiltonian_to_dict(h: QubitHamiltonian) -> dict:
 
 
 def hamiltonian_from_dict(doc: dict) -> QubitHamiltonian:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported hamiltonian schema {doc.get('schema_version')!r}")
+    require_schema(doc, "hamiltonian")
     terms = tuple(PauliString(t["pauli"], float(t["coeff"])) for t in doc["terms"])
     return QubitHamiltonian(int(doc["n_qubits"]), terms, float(doc["bond_length_angstrom"]))
 
 
 def hamiltonian_to_json(h: QubitHamiltonian) -> str:
-    return json.dumps(hamiltonian_to_dict(h), sort_keys=True, separators=(",", ":"))
+    return canonical_json(hamiltonian_to_dict(h))
 
 
 def hamiltonian_from_json(text: str) -> QubitHamiltonian:

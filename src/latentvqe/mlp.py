@@ -11,17 +11,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_ansatz
+from .ansatz import strongly_entangling
+from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
-from .optimize import ParameterDataset, energy_fn
+from .optimize import NumericalError, ParameterDataset, dataset_to_csv, energy_fn
 from .qae import QaeModel, latent_vqe_circuit
+from .statevector import zero_state
 
-DEFAULT_HIDDEN = (30, 30, 30, 30)
-SCHEMA_VERSION = "latentvqe/1"
+HIDDEN = (30, 30, 30, 30)   # tanh hidden-layer widths
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,6 @@ class TrainConfig:
     batch_size: int = 0            # 0 = full batch
     train_fraction: float = 0.7
     seed: int = 0
-    momentum: float = 0.9
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
     loss: str = "circular"         # or "cosine"
 
     def __post_init__(self):
@@ -63,24 +63,22 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
-def circular_loss(predicted, target) -> float:
-    """Mean over parameters of (cos t - cos p)^2 + (sin t - sin p)^2."""
+def _angle_pair(predicted, target):
     predicted = np.asarray(predicted, dtype=float)
     target = np.asarray(target, dtype=float)
     if predicted.shape != target.shape:
         raise ValueError("angle vectors must have equal length")
-    return float(np.mean(
-        (np.cos(target) - np.cos(predicted)) ** 2 + (np.sin(target) - np.sin(predicted)) ** 2
-    ))
+    return predicted, target
+
+
+def circular_loss(predicted, target) -> float:
+    """Mean over parameters of (cos t - cos p)^2 + (sin t - sin p)^2 = 2 (1 - cos(p - t))."""
+    return _loss_and_delta(*_angle_pair(predicted, target), "circular")[0]
 
 
 def cosine_loss(predicted, target) -> float:
     """1 - mean cosine of the angle differences (the alternative loss flag)."""
-    predicted = np.asarray(predicted, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if predicted.shape != target.shape:
-        raise ValueError("angle vectors must have equal length")
-    return float(1.0 - np.mean(np.cos(predicted - target)))
+    return _loss_and_delta(*_angle_pair(predicted, target), "cosine")[0]
 
 
 def _glorot_init(rng: np.random.Generator, sizes):
@@ -154,7 +152,7 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
     n_train = max(1, int(round(config.train_fraction * len(records))))
     train_idx, test_idx = order[:n_train], order[n_train:]
 
-    sizes = (1, *config.hidden, y.shape[1])
+    sizes = (1, *HIDDEN, y.shape[1])
     weights, biases = _glorot_init(rng, sizes)
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
@@ -172,11 +170,11 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
             xb, yb = xt[pick], yt[pick]
         loss, grads_w, grads_b = loss_gradients(weights, biases, xb, yb, config.loss)
         if not math.isfinite(loss):
-            raise ValueError(f"non-finite loss at epoch {epoch} (learning rate too high?)")
+            raise NumericalError(f"non-finite loss at epoch {epoch} (learning rate too high?)")
         trace[epoch] = loss
         for k in range(last, -1, -1):
-            vel_w[k] = config.momentum * vel_w[k] - config.learning_rate * grads_w[k]
-            vel_b[k] = config.momentum * vel_b[k] - config.learning_rate * grads_b[k]
+            vel_w[k] = MOMENTUM * vel_w[k] - config.learning_rate * grads_w[k]
+            vel_b[k] = MOMENTUM * vel_b[k] - config.learning_rate * grads_b[k]
             weights[k] = weights[k] + vel_w[k]
             biases[k] = biases[k] + vel_b[k]
 
@@ -217,17 +215,9 @@ def predict(model: MlpModel, bond_length: float) -> np.ndarray:
     return np.mod(out, 2.0 * math.pi)
 
 
-def evaluate_energy_mae(
-    model: MlpModel,
-    qae: QaeModel,
-    bond_lengths,
-    pqc_spec: AnsatzSpec | None = None,
-) -> dict:
+def evaluate_energy_mae(model: MlpModel, qae: QaeModel, bond_lengths) -> dict:
     """Energy error of predicted angles against the exact oracle, per point."""
-    pqc_spec = pqc_spec or AnsatzSpec("STRONGLY_ENTANGLING", 2, 1)
-    circuit = latent_vqe_circuit(qae, build_ansatz(pqc_spec))
-    from .statevector import zero_state
-
+    circuit = latent_vqe_circuit(qae, strongly_entangling(2, 1))
     points = []
     for r in bond_lengths:
         h = hamiltonian_for_distance(float(r))
@@ -246,8 +236,6 @@ def evaluate_energy_mae(
 
 
 def dataset_fingerprint(dataset: ParameterDataset) -> str:
-    from .optimize import dataset_to_csv
-
     return hashlib.sha256(dataset_to_csv(dataset).encode()).hexdigest()[:16]
 
 
@@ -267,8 +255,7 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MlpModel:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema {doc.get('schema_version')!r}")
+    require_schema(doc, "model")
     return MlpModel(
         layer_sizes=tuple(doc["layer_sizes"]),
         weights=tuple(np.array(w) for w in doc["weights"]),
@@ -282,7 +269,7 @@ def model_from_dict(doc: dict) -> MlpModel:
 
 
 def model_to_json(model: MlpModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+    return canonical_json(model_to_dict(model))
 
 
 def model_from_json(text: str) -> MlpModel:

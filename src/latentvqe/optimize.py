@@ -12,17 +12,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import AnsatzSpec
-from .circuit import Circuit, apply_circuit, u3_to_zyz
+from .artifacts import SCHEMA_VERSION
+from .circuit import (
+    _MATRIX_FNS, Circuit, apply_circuit, apply_cnot, apply_gates, gate_matrix, u3_to_zyz,
+)
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
-from .statevector import StateVector, pauli_sum_matrix
+from .statevector import StateVector, _apply_1q, pauli_sum_matrix, zero_state
 
 NELDER_MEAD = "NELDER_MEAD"
 ADAM_PARAM_SHIFT = "ADAM_PARAM_SHIFT"
+
+
+class NumericalError(ValueError):
+    """A cost or loss turned non-finite during optimization."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ def minimize(cost, initial, bounds=None, config: OptimizerConfig | None = None) 
         evals += 1
         v = float(cost(x))
         if not math.isfinite(v):
-            raise ValueError("non-finite cost value encountered")
+            raise NumericalError("non-finite cost value encountered")
         return v
 
     verts = [x0]
@@ -192,30 +199,21 @@ def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> np.ndarray:
     dense conjugated observable, so each shifted pair costs one single-gate
     application instead of a full circuit re-run.
     """
-    from .circuit import _MATRIX_FNS
-    from .statevector import _apply_1q
-
     params = np.asarray(params, dtype=float)
     zyz, refs = shift_refs(circuit)
     n = circuit.n_qubits
     gates = zyz.gates
-
-    # forward pass: state before gate gi for every gi
-    prefixes = [amp0_cols]
-    amp = amp0_cols
-    for g in gates:
-        amp = _apply_one(amp, g, params, n)
-        prefixes.append(amp)
-
     conjugated = _suffix_observables(gates, hmat, params, n, {gi for gi, _ in refs})
 
     grad = np.zeros(circuit.n_params)
     half_pi = math.pi / 2
+    pre, done = amp0_cols, 0
     for gi, p in refs:
+        pre = apply_gates(pre, gates[done:gi], params, n)  # the state before gate gi
+        done = gi
         g = gates[gi]
         angle = p.value(params)
         kmat = conjugated[gi]
-        pre = prefixes[gi]
         e = []
         for shift in (half_pi, -half_pi):
             shifted = _apply_1q(pre, _MATRIX_FNS[g.kind](angle + shift), g.targets[0], n)
@@ -229,9 +227,6 @@ def _suffix_observables(gates, hmat, params, n, positions) -> dict[int, np.ndarr
 
     One backward pass over the gate list, tracking S^T applied to the identity.
     """
-    from .circuit import apply_cnot, gate_matrix
-    from .statevector import _apply_1q
-
     st = np.eye(1 << n, dtype=complex)
     conjugated = {}
     for gi in range(len(gates) - 1, -1, -1):
@@ -246,15 +241,6 @@ def _suffix_observables(gates, hmat, params, n, positions) -> dict[int, np.ndarr
     return conjugated
 
 
-def _apply_one(amp, gate, params, n):
-    from .circuit import apply_cnot, gate_matrix
-    from .statevector import _apply_1q
-
-    if gate.kind == "CNOT":
-        return apply_cnot(amp, gate.targets)
-    return _apply_1q(amp, gate_matrix(gate, params), gate.targets[0], n)
-
-
 def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_state: StateVector):
     """dE/dtheta_k = 1/2 [E(theta_k + pi/2) - E(theta_k - pi/2)] per gate reference.
 
@@ -267,16 +253,13 @@ def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_stat
     return batched_shift_gradient(circuit, hmat, params, amp0)
 
 
-def adam_minimize(cost, grad, x0, config: OptimizerConfig, bounds=None, stop_below=None) -> dict:
+def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> dict:
     """Adam on an explicit gradient, tracking the best value seen.
 
     Stops early when the gradient infinity-norm drops below config.tolerance
     or (if given) the cost falls below `stop_below`.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if bounds is not None:
-        lo, hi = bounds
-        x = np.clip(x, lo, hi)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -289,12 +272,10 @@ def adam_minimize(cost, grad, x0, config: OptimizerConfig, bounds=None, stop_bel
         mhat = m / (1 - beta1**t)
         vhat = v / (1 - beta2**t)
         x = x - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-        if bounds is not None:
-            x = np.clip(x, lo, hi)
         fx = float(cost(x))
         evals += 1
         if not math.isfinite(fx):
-            raise ValueError("non-finite cost value encountered")
+            raise NumericalError("non-finite cost value encountered")
         if fx < best_f:
             best_f, best_x = fx, x.copy()
         if stop_below is not None and best_f < stop_below:
@@ -341,14 +322,11 @@ def staged_gate_optimize(
     K = S^dag H S folds all later gates S into the observable (recomputed
     once per sweep, since the gates after the current one have not moved yet).
     """
-    from .circuit import gate_matrix
-    from .statevector import _apply_1q
-
     config = config or OptimizerConfig(tolerance=1e-9, max_iterations=300)
     n = circuit.n_qubits
     gates = circuit.gates
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), n)
-    amp0 = _zero_input(circuit).amplitudes
+    amp0 = zero_state(n).amplitudes
     params = np.asarray(init, dtype=float).copy()
     if bounds is not None:
         lo, hi = bounds
@@ -366,8 +344,7 @@ def staged_gate_optimize(
         suffix = _suffix_observables(gates, hmat, params, n, {gi for gi, _ in groups})
         prefix, done = amp0, 0
         for gi, (theta, phi, lam) in groups:
-            for g in gates[done:gi]:
-                prefix = _apply_one(prefix, g, params, n)
+            prefix = apply_gates(prefix, gates[done:gi], params, n)
             done = gi
             gate, kmat = gates[gi], suffix[gi]
             for subset in ((lam,), (theta, phi)):
@@ -392,12 +369,6 @@ def staged_gate_optimize(
     return {"params": params, "energy": energy, "evaluations": evaluations, "sweeps": sweeps}
 
 
-def _zero_input(circuit: Circuit) -> StateVector:
-    from .statevector import zero_state
-
-    return zero_state(circuit.n_qubits)
-
-
 def optimize_vqe(
     circuit: Circuit,
     hamiltonian,
@@ -408,7 +379,7 @@ def optimize_vqe(
     """Multi-restart VQE driver; first start at `initial` (if given), rest random."""
     config = config or OptimizerConfig()
     rng = rng or np.random.default_rng(config.seed)
-    cost = energy_fn(circuit, hamiltonian, _zero_input(circuit))
+    cost = energy_fn(circuit, hamiltonian, zero_state(circuit.n_qubits))
     best = None
     evaluations = 0
     for attempt in range(max(1, config.restarts)):
@@ -420,7 +391,7 @@ def optimize_vqe(
             res = minimize(cost, x0, config=config)
         else:
             hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
-            amp0 = _zero_input(circuit).amplitudes.reshape(-1, 1)
+            amp0 = zero_state(circuit.n_qubits).amplitudes.reshape(-1, 1)
             res = adam_minimize(
                 cost, lambda x: batched_shift_gradient(circuit, hmat, x, amp0), x0, config
             )
@@ -487,7 +458,7 @@ def first_step_delta(circuit: Circuit, hamiltonian, params) -> np.ndarray:
     """
     params = np.asarray(params, dtype=float)
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
-    amp0 = _zero_input(circuit).amplitudes.reshape(-1, 1)
+    amp0 = zero_state(circuit.n_qubits).amplitudes.reshape(-1, 1)
     grad = lambda x: batched_shift_gradient(circuit, hmat, x, amp0)
     h = 1e-4
     hess = np.column_stack([
@@ -525,7 +496,7 @@ def constrained_sweep(
     anchor_params = np.asarray(anchor_params, dtype=float)
 
     oracle = [exact_ground_energy(h)["energy"] for h in hamiltonians]
-    cost_anchor = energy_fn(circuit, hamiltonians[anchor_index], _zero_input(circuit))
+    cost_anchor = energy_fn(circuit, hamiltonians[anchor_index], zero_state(circuit.n_qubits))
     anchor_energy = cost_anchor(anchor_params)
     anchor_error = max(anchor_energy - oracle[anchor_index], 1e-12)
 
@@ -567,7 +538,7 @@ def constrained_sweep(
 
 # --- dataset CSV ------------------------------------------------------------
 
-DATASET_SCHEMA = "latentvqe/1 parameter-dataset"
+DATASET_SCHEMA = f"{SCHEMA_VERSION} parameter-dataset"
 
 
 def _fmt(x: float) -> str:

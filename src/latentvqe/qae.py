@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_ansatz
+from .ansatz import qae_encoder
+from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .circuit import (
-    Circuit, bind_constants, circuit_from_dict, circuit_to_dict, concat, inverse,
-    remap_qubits, simulate,
+    Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, concat,
+    inverse, remap_qubits, simulate,
 )
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from .optimize import (
@@ -65,10 +66,6 @@ def trash_projector(n_qubits: int, trash_qubits=TRASH_QUBITS) -> tuple[PauliStri
     return tuple(PauliString(ops, c) for ops, c in strings)
 
 
-def encode(encoder: Circuit, encoder_params, state: StateVector) -> StateVector:
-    return simulate(encoder, encoder_params, state)
-
-
 def trash_cost(encoder: Circuit, encoder_params, training_states) -> float:
     """Mean over states of 1 - <00|Tr_latent[E rho E+]|00>."""
     training_states = list(training_states)
@@ -76,7 +73,7 @@ def trash_cost(encoder: Circuit, encoder_params, training_states) -> float:
         raise ValueError("empty training set")
     total = 0.0
     for state in training_states:
-        encoded = encode(encoder, encoder_params, state)
+        encoded = simulate(encoder, encoder_params, state)
         rho = partial_trace(encoded, TRASH_QUBITS)
         total += 1.0 - fidelity_with_zero(rho)
     return total / len(training_states)
@@ -84,8 +81,6 @@ def trash_cost(encoder: Circuit, encoder_params, training_states) -> float:
 
 def _batched_trash_cost_fn(encoder: Circuit, states):
     """Fast training path: all states as columns, projector as a dense matrix."""
-    from .circuit import apply_circuit
-
     cols = np.stack([s.amplitudes for s in states], axis=1)
     proj = pauli_sum_matrix(trash_projector(encoder.n_qubits), encoder.n_qubits)
 
@@ -108,21 +103,21 @@ def training_states_for(bond_lengths) -> list[StateVector]:
 
 def train_qae(
     bond_lengths=DEFAULT_TRAINING_BOND_LENGTHS,
-    encoder_spec: AnsatzSpec | None = None,
     config: OptimizerConfig | None = None,
     target: float = 1e-8,
 ) -> QaeModel:
-    """Train the encoder on exact ground states at the given bond lengths.
+    """Train the 2-layer encoder on exact ground states at the given bond lengths.
 
-    Restarts from fresh random initializations until the trash cost beats
-    `target` or the restart budget (config.restarts, default 20) runs out;
-    raises QaeTrainingError if the best cost is still above 1e-4 then.
+    Each restart runs Adam from a fresh random initialization, then a short
+    Nelder-Mead polish if Adam stopped short of `target`. Restarts continue
+    until the trash cost beats `target` or the restart budget
+    (config.restarts, default 20) runs out; raises QaeTrainingError if the
+    best cost is still above 1e-4 then.
     """
     bond_lengths = tuple(float(r) for r in bond_lengths)
     if len(bond_lengths) < 2:
         raise ValueError("need at least 2 training bond lengths")
-    encoder_spec = encoder_spec or AnsatzSpec("QAE_ENCODER", 4, 2)
-    encoder = build_ansatz(encoder_spec)
+    encoder = qae_encoder(4, 2)
     config = config or OptimizerConfig(
         method=ADAM_PARAM_SHIFT, max_iterations=1200, tolerance=1e-13,
         restarts=20, learning_rate=0.1,
@@ -135,16 +130,12 @@ def train_qae(
     best_cost = math.inf
     for _ in range(max(1, config.restarts)):
         x0 = rng.uniform(0.0, 2.0 * math.pi, encoder.n_params)
-        if config.method == ADAM_PARAM_SHIFT:
-            res = adam_minimize(cost, grad, x0, config, stop_below=target / 10.0)
-            if res["value"] >= target:
-                # squeeze the tail with a short simplex polish around the optimum
-                res = minimize(
-                    cost, res["params"],
-                    config=OptimizerConfig(max_iterations=400, tolerance=1e-15),
-                )
-        else:
-            res = minimize(cost, x0, config=config)
+        res = adam_minimize(cost, grad, x0, config, stop_below=target / 10.0)
+        if res["value"] >= target:
+            # squeeze the tail with a short simplex polish around the optimum
+            res = minimize(
+                cost, res["params"], config=OptimizerConfig(max_iterations=400, tolerance=1e-15)
+            )
         if res["value"] < best_cost:
             best_cost = res["value"]
             best_params = res["params"]
@@ -185,7 +176,7 @@ def latent_vqe_circuit(model: QaeModel, pqc: Circuit) -> Circuit:
 
 def reconstruct(model: QaeModel, state: StateVector) -> StateVector:
     """Encode, reset the trash register to |00> (post-select), decode."""
-    encoded = encode(model.encoder, model.encoder_params, state)
+    encoded = simulate(model.encoder, model.encoder_params, state)
     amp = encoded.amplitudes.copy()
     mask = 0
     for t in model.trash_qubits:
@@ -201,9 +192,6 @@ def reconstruct(model: QaeModel, state: StateVector) -> StateVector:
 
 # --- serialization ----------------------------------------------------------
 
-SCHEMA_VERSION = "latentvqe/1"
-
-
 def qae_to_dict(model: QaeModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -217,8 +205,7 @@ def qae_to_dict(model: QaeModel) -> dict:
 
 
 def qae_from_dict(doc: dict) -> QaeModel:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported QAE schema {doc.get('schema_version')!r}")
+    require_schema(doc, "QAE")
     return QaeModel(
         encoder=circuit_from_dict(doc["encoder"]),
         encoder_params=np.array(doc["encoder_params"], dtype=float),
@@ -230,7 +217,7 @@ def qae_from_dict(doc: dict) -> QaeModel:
 
 
 def qae_to_json(model: QaeModel) -> str:
-    return json.dumps(qae_to_dict(model), sort_keys=True, separators=(",", ":"))
+    return canonical_json(qae_to_dict(model))
 
 
 def qae_from_json(text: str) -> QaeModel:

@@ -115,21 +115,15 @@ def apply_gate(state: StateVector, unitary: np.ndarray, targets) -> StateVector:
     _check_unitary(unitary)
     if unitary.shape[0] != 1 << len(targets):
         raise ValueError("matrix size does not match target count")
-    amp = _apply_matrix(state.amplitudes, unitary, targets, n)
+    if len(targets) == 1:
+        amp = _apply_1q(state.amplitudes, unitary, targets[0], n)
+    else:
+        amp = _apply_2q(state.amplitudes, unitary, targets, n)
     return StateVector(n, amp)
 
 
-def _apply_matrix(amp: np.ndarray, unitary: np.ndarray, targets, n: int) -> np.ndarray:
-    """Stride-based gate application; never builds a 2^n x 2^n operator.
-
-    Works on a single amplitude vector or on a (2^n, batch) column stack.
-    """
-    if len(targets) == 1:
-        return _apply_1q(amp, unitary, targets[0], n)
-    return _apply_2q(amp, unitary, targets, n)
-
-
 def _apply_1q(amp: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """Stride-based 2x2 gate on a vector or (2^n, batch) stack; never builds 2^n x 2^n."""
     batch = amp.shape[1:] if amp.ndim > 1 else ()
     # View as (high bits, qubit, low bits, *batch); axis 1 is the target bit.
     view = amp.reshape(1 << (n - qubit - 1), 2, -1)

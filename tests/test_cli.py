@@ -75,11 +75,44 @@ class TestVqeRun:
                    "--out", tmp_path / "x.json")
         assert code == EXIT_UPSTREAM
 
+    @pytest.mark.parametrize("malform", ["terms_not_a_list", "coeff_is_a_list", "top_level_array",
+                                         "grid_files_not_a_list", "grid_files_empty"])
+    def test_malformed_ham_is_upstream_error(self, ham, tmp_path, malform):
+        doc = json.loads(ham.read_text())
+        if malform == "terms_not_a_list":
+            doc["terms"] = 5
+        elif malform == "coeff_is_a_list":
+            doc["terms"][0]["coeff"] = [1.0, 2.0]
+        elif malform == "top_level_array":
+            doc = [doc]
+        else:
+            doc = {"schema_version": "latentvqe/1", "kind": "hamiltonian-grid",
+                   "files": 5 if malform == "grid_files_not_a_list" else []}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run("vqe", "run", "--ansatz", "uccsd", "--ham", bad, "--out", tmp_path / "x.json")
+        assert code == EXIT_UPSTREAM
+
 
 class TestQaeTrainCli:
     def test_budget_exhaustion_is_numerical_failure(self, tmp_path):
         code = run("qae", "train", "--max-iterations", 1, "--restarts", 1,
                    "--target", 1e-12, "--seed", 5, "--out", tmp_path / "qae.json")
+        assert code == EXIT_NUMERICAL
+
+
+class TestNnTrainCli:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_angle_is_numerical_failure(self, tmp_path):
+        lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\": 0}",
+                 "bond_length,energy,oracle_energy,flag,theta_0,theta_1"]
+        for i, r in enumerate(np.linspace(0.5, 1.5, 22)):
+            theta_1 = "inf" if i == 7 else "0.5"
+            lines.append(f"{r:.17g},-1.0,-1.0,0,{0.1 * i:.17g},{theta_1}")
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("nn", "train", "--dataset", dataset, "--epochs", 5,
+                   "--out", tmp_path / "nn.json")
         assert code == EXIT_NUMERICAL
 
 
@@ -153,9 +186,3 @@ class TestMiniPipeline:
         table = tmp_path / "table.csv"
         assert run("report", tmp_path / "eval.csv.summary.json", "--out", table) == EXIT_OK
         assert "nn-ae-vqe" in table.read_text()
-
-    def test_thread_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LATENTVQE_THREADS", "4")
-        out = tmp_path / "grid"
-        assert run("ham", "build", "--grid", "0.5:1.0:6", "--out", out) == EXIT_OK
-        assert len(json.loads((out / "index.json").read_text())["files"]) == 6

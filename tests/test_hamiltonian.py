@@ -98,6 +98,15 @@ class TestExactGroundEnergy:
             assert expectation(s, h.terms) >= ground - 1e-10
 
 
+class TestScipyCrossCheck:
+    def test_scipy_eigh_matches_jacobi_oracle_on_acceptance_grid(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for r in np.linspace(0.3, 2.85, 100):
+            h = hamiltonian_for_distance(float(r))
+            lowest = scipy_linalg.eigh(dense_matrix(h), eigvals_only=True)[0]
+            assert exact_ground_energy(h)["energy"] == pytest.approx(lowest, abs=1e-10)
+
+
 class TestHartreeFock:
     def test_is_a_basis_state(self):
         hf = hartree_fock_state()

@@ -63,6 +63,27 @@ class TestNelderMead:
         assert np.array_equal(a["params"], b["params"])
         assert a["evaluations"] == b["evaluations"]
 
+    def test_agrees_with_scipy_nelder_mead_on_bounded_quadratic(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        # The unconstrained minimum (2.5, -0.4) lies outside the box, so the bounded
+        # optimum lies on the face x[0] = 1.
+
+        def cost(x):
+            a, b = x[0] - 2.5, x[1] + 0.4
+            return a * a + 2.0 * b * b + 0.5 * a * b
+
+        bounds = [(-1.0, 1.0), (-1.0, 1.0)]
+        # From (0.2, 0.3) SciPy's clipped simplex collapses onto the x1 = -1 face instead.
+        ours = minimize(cost, [-0.5, 0.5], bounds=bounds,
+                        config=OptimizerConfig(max_iterations=2000, tolerance=1e-14))
+        ref = scipy_optimize.minimize(cost, [-0.5, 0.5], method="Nelder-Mead", bounds=bounds,
+                                      options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
+        assert ref.success
+        np.testing.assert_allclose(ours["params"], ref.x, atol=1e-6)
+        assert ours["value"] == pytest.approx(ref.fun, abs=1e-10)
+        # on that face, d/dx[1] = 4 (x[1] + 0.4) - 0.75 = 0
+        np.testing.assert_allclose(ours["params"], [1.0, -0.4 + 0.75 / 4.0], atol=1e-6)
+
 
 class TestParameterShift:
     def test_ry_gradient_at_zero_and_quarter_turn(self):
