@@ -242,24 +242,6 @@ def concat(first: Circuit, second: Circuit) -> Circuit:
     return Circuit(first.n_qubits, first.gates + shifted, first.n_params + second.n_params)
 
 
-def u3_to_zyz(circuit: Circuit) -> Circuit:
-    """Rewrite each U3(theta, phi, lam) as RZ(phi) RY(theta) RZ(lam), up to global phase.
-
-    Used by the parameter-shift rule, which needs every parameterized gate to
-    be a single-angle rotation with an involutory generator.
-    """
-    gates = []
-    for g in circuit.gates:
-        if g.kind == "U3":
-            th, ph, la = g.params
-            gates.append(Gate("RZ", g.targets, (la,)))
-            gates.append(Gate("RY", g.targets, (th,)))
-            gates.append(Gate("RZ", g.targets, (ph,)))
-        else:
-            gates.append(g)
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.n_params)
-
-
 # --- serialization ---------------------------------------------------------
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -130,19 +130,20 @@ def cmd_ham_build(args) -> int:
 
 
 def _load_ham_points(path: Path):
-    """Returns [(bond_length, QubitHamiltonian)] from a single file or grid index."""
+    """([(bond_length, QubitHamiltonian)], per-point files) from a single file or grid index.
+
+    The per-point files are the ones a grid index lists; a single file has none.
+    """
     doc = _read_json(path, "hamiltonian file")
-    if doc.get("kind") == "hamiltonian-grid":
-        names = doc.get("files")
-        if not names or not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise UpstreamArtifactError(f"grid index {path} lists no hamiltonian file names")
-        out = []
-        for name in names:
-            h = _read_artifact(path.parent / name, hamiltonian_from_json, "hamiltonian file")
-            out.append((h.bond_length, h))
-        return out
-    h = _read_artifact(path, hamiltonian_from_json, "hamiltonian file")
-    return [(h.bond_length, h)]
+    if doc.get("kind") != "hamiltonian-grid":
+        h = _read_artifact(path, hamiltonian_from_json, "hamiltonian file")
+        return [(h.bond_length, h)], []
+    names = doc.get("files")
+    if not names or not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise UpstreamArtifactError(f"grid index {path} lists no hamiltonian file names")
+    files = [path.parent / name for name in names]
+    hams = [_read_artifact(f, hamiltonian_from_json, "hamiltonian file") for f in files]
+    return [(h.bond_length, h) for h in hams], files
 
 
 # --- vqe run -----------------------------------------------------------------
@@ -172,8 +173,8 @@ def _latent_circuit_from(args):
 
 def cmd_vqe_run(args) -> int:
     t0 = time.time()
-    points = _load_ham_points(Path(args.ham))
-    inputs = [args.ham] + ([args.qae] if args.ansatz == "latent" else [])
+    points, point_files = _load_ham_points(Path(args.ham))
+    inputs = [args.ham] + point_files + ([args.qae] if args.ansatz == "latent" else [])
 
     if args.ansatz == "uccsd":
         circuit = uccsd_h2()

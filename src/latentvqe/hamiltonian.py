@@ -366,8 +366,11 @@ def hamiltonian_to_dict(h: QubitHamiltonian) -> dict:
 
 def hamiltonian_from_dict(doc: dict) -> QubitHamiltonian:
     require_schema(doc, "hamiltonian")
+    n_qubits = int(doc["n_qubits"])
     terms = tuple(PauliString(t["pauli"], float(t["coeff"])) for t in doc["terms"])
-    return QubitHamiltonian(int(doc["n_qubits"]), terms, float(doc["bond_length_angstrom"]))
+    if any(t.n_qubits != n_qubits for t in terms):
+        raise ValueError(f"a Pauli string does not act on n_qubits = {n_qubits} qubits")
+    return QubitHamiltonian(n_qubits, terms, float(doc["bond_length_angstrom"]))
 
 
 def hamiltonian_to_json(h: QubitHamiltonian) -> str:

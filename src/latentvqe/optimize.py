@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import AnsatzSpec
-from .artifacts import SCHEMA_VERSION
+from .artifacts import SCHEMA_VERSION, canonical_json
 from .circuit import (
-    _MATRIX_FNS, Circuit, apply_circuit, apply_cnot, apply_gates, gate_matrix, u3_to_zyz,
+    _MATRIX_FNS, Circuit, apply_circuit, apply_cnot, apply_gates, gate_matrix,
 )
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
 from .statevector import StateVector, _apply_1q, pauli_sum_matrix, zero_state
@@ -173,64 +173,26 @@ def minimize(cost, initial, bounds=None, config: OptimizerConfig | None = None) 
 
 # --- parameter-shift gradients ----------------------------------------------
 
-def shift_refs(circuit: Circuit):
-    """ZYZ-rewritten circuit plus (gate_index, Param) pairs eligible for shifting."""
-    zyz = u3_to_zyz(circuit)
-    refs = []
-    for gi, g in enumerate(zyz.gates):
-        for p in g.params:
-            if p.slot is None:
-                continue
-            if g.kind not in ("U1", "RY", "RZ"):
-                raise ValueError(f"no parameter-shift rule for gate kind {g.kind}")
-            refs.append((gi, p))
-    return zyz, refs
-
-
 def batched_energies(amp_cols: np.ndarray, hmat: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ib,ib->b", amp_cols.conj(), hmat @ amp_cols))
 
 
-def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> np.ndarray:
-    """Gradient of column-averaged energy; columns of amp0_cols are input states.
+def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
+    """Yield (gate, state before it, S^dag H S) for each gate with a free angle.
 
-    Evaluates the same shifted energies as a naive parameter-shift loop, but
-    caches the state before each gate and folds everything after it into a
-    dense conjugated observable, so each shifted pair costs one single-gate
-    application instead of a full circuit re-run.
+    S is the product of all gates after the yielded one. All S^dag H S come
+    from one backward pass at the first step, tracking S^T applied to the
+    identity, with `params` as they are then. The state before each gate is
+    advanced lazily from the previous one with `params` as they are at that
+    step, so a caller that updates `params` in place between steps sees its
+    updates in the states of later gates.
     """
-    params = np.asarray(params, dtype=float)
-    zyz, refs = shift_refs(circuit)
-    n = circuit.n_qubits
-    gates = zyz.gates
-    conjugated = _suffix_observables(gates, hmat, params, n, {gi for gi, _ in refs})
-
-    grad = np.zeros(circuit.n_params)
-    half_pi = math.pi / 2
-    pre, done = amp0_cols, 0
-    for gi, p in refs:
-        pre = apply_gates(pre, gates[done:gi], params, n)  # the state before gate gi
-        done = gi
-        g = gates[gi]
-        angle = p.value(params)
-        kmat = conjugated[gi]
-        e = []
-        for shift in (half_pi, -half_pi):
-            shifted = _apply_1q(pre, _MATRIX_FNS[g.kind](angle + shift), g.targets[0], n)
-            e.append(batched_energies(shifted, kmat))
-        grad[p.slot] += p.coeff * 0.5 * float(np.mean(e[0] - e[1]))
-    return grad
-
-
-def _suffix_observables(gates, hmat, params, n, positions) -> dict[int, np.ndarray]:
-    """{gi: S_gi^dag H S_gi} for gi in positions, S_gi the product of all gates after gi.
-
-    One backward pass over the gate list, tracking S^T applied to the identity.
-    """
+    n, gates = circuit.n_qubits, circuit.gates
+    free = [gi for gi, g in enumerate(gates) if any(p.slot is not None for p in g.params)]
     st = np.eye(1 << n, dtype=complex)
     conjugated = {}
     for gi in range(len(gates) - 1, -1, -1):
-        if gi in positions:
+        if gi in free:
             s = st.T
             conjugated[gi] = s.conj().T @ hmat @ s
         g = gates[gi]
@@ -238,15 +200,48 @@ def _suffix_observables(gates, hmat, params, n, positions) -> dict[int, np.ndarr
             st = apply_cnot(st, g.targets)
         else:
             st = _apply_1q(st, gate_matrix(g, params).T, g.targets[0], n)
-    return conjugated
+    pre, done = amp0, 0
+    for gi in free:
+        pre = apply_gates(pre, gates[done:gi], params, n)
+        done = gi
+        yield gates[gi], pre, conjugated.pop(gi)
+
+
+def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> np.ndarray:
+    """Gradient of column-averaged energy; columns of amp0_cols are input states.
+
+    Every free angle a of U3, U1, RY and RZ enters its gate through one
+    factor exp(-i a P/2) with P a Pauli, up to a global phase that
+    expectation values ignore (U3(theta, phi, lam) = e^{i(phi+lam)/2}
+    RZ(phi) RY(theta) RZ(lam), U1(lam) = e^{i lam/2} RZ(lam)), so
+    dE/da = 1/2 [E(a + pi/2) - E(a - pi/2)] holds exactly on the circuit's
+    own gates. Each shifted pair costs one single-gate application to the
+    cached state before the gate and one quadratic form with the folded
+    observable S^dag H S of the gates after it.
+    """
+    params = np.asarray(params, dtype=float)
+    n = circuit.n_qubits
+    grad = np.zeros(circuit.n_params)
+    for gate, pre, kmat in _free_gate_walk(circuit, hmat, params, amp0_cols):
+        angles = [p.value(params) for p in gate.params]
+        for k, p in enumerate(gate.params):
+            if p.slot is None:
+                continue
+            e = []
+            for shift in (0.5 * math.pi, -0.5 * math.pi):
+                shifted = angles.copy()
+                shifted[k] += shift
+                psi = _apply_1q(pre, _MATRIX_FNS[gate.kind](*shifted), gate.targets[0], n)
+                e.append(batched_energies(psi, kmat))
+            grad[p.slot] += p.coeff * 0.5 * float(np.mean(e[0] - e[1]))
+    return grad
 
 
 def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_state: StateVector):
-    """dE/dtheta_k = 1/2 [E(theta_k + pi/2) - E(theta_k - pi/2)] per gate reference.
+    """Parameter-shift gradient of the energy from `initial_state`.
 
-    U3 gates are differentiated through their RZ(phi) RY(theta) RZ(lam)
-    rewriting (global phase drops out of expectation values); slots shared by
-    several gates accumulate one shifted-pair contribution per gate.
+    A slot read by several angle positions, on one gate or on several,
+    accumulates coeff * 1/2 [E(angle + pi/2) - E(angle - pi/2)] per position.
     """
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
     amp0 = initial_state.amplitudes.reshape(-1, 1)
@@ -287,9 +282,8 @@ def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> d
 
 # --- staged per-gate optimization (U1 restriction, then theta/phi) ----------
 
-def _u3_slot_groups(circuit: Circuit):
-    """[(gate index, (theta, phi, lam) slots)] for every U3 gate with free angles."""
-    groups = []
+def _check_u3_slots(circuit: Circuit) -> None:
+    """Raise unless every free angle sits on a U3 gate that owns its slots alone."""
     owner = {}
     for gi, g in enumerate(circuit.gates):
         slots = [p.slot for p in g.params if p.slot is not None]
@@ -299,8 +293,6 @@ def _u3_slot_groups(circuit: Circuit):
             raise ValueError("staged optimization expects all free parameters on U3 gates")
         if any(owner.setdefault(slot, gi) != gi for slot in slots):
             raise ValueError("staged optimization expects each slot on a single U3 gate")
-        groups.append((gi, tuple(p.slot for p in g.params)))
-    return groups
 
 
 def staged_gate_optimize(
@@ -324,14 +316,13 @@ def staged_gate_optimize(
     """
     config = config or OptimizerConfig(tolerance=1e-9, max_iterations=300)
     n = circuit.n_qubits
-    gates = circuit.gates
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), n)
     amp0 = zero_state(n).amplitudes
     params = np.asarray(init, dtype=float).copy()
     if bounds is not None:
         lo, hi = bounds
         params = np.clip(params, lo, hi)
-    groups = _u3_slot_groups(circuit)
+    _check_u3_slots(circuit)
     inner = replace(config, tolerance=max(1e-13, config.tolerance * 1e-3))
 
     amp = apply_circuit(amp0, circuit, params)
@@ -341,12 +332,9 @@ def staged_gate_optimize(
     for _ in range(10):
         sweeps += 1
         sweep_start = energy
-        suffix = _suffix_observables(gates, hmat, params, n, {gi for gi, _ in groups})
-        prefix, done = amp0, 0
-        for gi, (theta, phi, lam) in groups:
-            prefix = apply_gates(prefix, gates[done:gi], params, n)
-            done = gi
-            gate, kmat = gates[gi], suffix[gi]
+        # the walk sees the in-place updates of params below in later prefixes
+        for gate, prefix, kmat in _free_gate_walk(circuit, hmat, params, amp0):
+            theta, phi, lam = (p.slot for p in gate.params)
             for subset in ((lam,), (theta, phi)):
                 subset = list(dict.fromkeys(subset))
                 sub_bounds = None
@@ -549,7 +537,7 @@ def dataset_to_csv(dataset: ParameterDataset) -> str:
     meta = {"anchor_index": dataset.anchor_index}
     if dataset.pqc_spec is not None:
         meta["pqc_spec"] = dataset.pqc_spec.to_dict()
-    lines = [f"# {DATASET_SCHEMA} {json.dumps(meta, sort_keys=True)}"]
+    lines = [f"# {DATASET_SCHEMA} {canonical_json(meta)}"]
     p = dataset.n_params
     lines.append(",".join(
         ["bond_length", "energy", "oracle_energy", "flag"] + [f"theta_{k}" for k in range(p)]
@@ -566,12 +554,14 @@ def dataset_from_csv(text: str) -> ParameterDataset:
     if not lines or not lines[0].startswith(f"# {DATASET_SCHEMA}"):
         raise ValueError("not a parameter-dataset file (schema line missing or mismatched)")
     meta = json.loads(lines[0][len(DATASET_SCHEMA) + 3:])
-    header = [h.strip() for h in lines[1].split(",")]
+    header = [h.strip() for h in lines[1].split(",")] if len(lines) > 1 else []
     if header[:4] != ["bond_length", "energy", "oracle_energy", "flag"]:
-        raise ValueError("unexpected dataset header")
+        raise ValueError("dataset header missing or unexpected")
     records = []
     for ln in lines[2:]:
         cells = ln.split(",")
+        if len(cells) < 4:
+            raise ValueError(f"dataset row has {len(cells)} cells, need at least 4: {ln!r}")
         records.append(DatasetRecord(
             float(cells[0]),
             np.array([float(c) for c in cells[4:]]),

@@ -76,13 +76,18 @@ class TestVqeRun:
         assert code == EXIT_UPSTREAM
 
     @pytest.mark.parametrize("malform", ["terms_not_a_list", "coeff_is_a_list", "top_level_array",
-                                         "grid_files_not_a_list", "grid_files_empty"])
+                                         "grid_files_not_a_list", "grid_files_empty",
+                                         "n_qubits_too_large", "pauli_string_too_short"])
     def test_malformed_ham_is_upstream_error(self, ham, tmp_path, malform):
         doc = json.loads(ham.read_text())
         if malform == "terms_not_a_list":
             doc["terms"] = 5
         elif malform == "coeff_is_a_list":
             doc["terms"][0]["coeff"] = [1.0, 2.0]
+        elif malform == "n_qubits_too_large":
+            doc["n_qubits"] = 5
+        elif malform == "pauli_string_too_short":
+            doc["terms"][-1]["pauli"] = "XXZ"
         elif malform == "top_level_array":
             doc = [doc]
         else:
@@ -92,6 +97,26 @@ class TestVqeRun:
         bad.write_text(json.dumps(doc))
         code = run("vqe", "run", "--ansatz", "uccsd", "--ham", bad, "--out", tmp_path / "x.json")
         assert code == EXIT_UPSTREAM
+
+    def test_manifest_hashes_every_grid_point_file(self, tmp_path):
+        grid = tmp_path / "grid"
+        run("ham", "build", "--grid", "0.6:0.8:2", "--out", grid)
+
+        def point_hashes():
+            out = tmp_path / "uccsd.json"
+            assert run("vqe", "run", "--ansatz", "uccsd", "--ham", grid / "index.json",
+                       "--out", out) == EXIT_OK
+            manifest = json.loads((tmp_path / "uccsd.json.manifest.json").read_text())
+            return manifest["input_hashes"]
+
+        before = point_hashes()
+        edited = grid / "ham_001.json"
+        assert str(edited) in before
+        edited.write_text(json.dumps(json.loads(edited.read_text()), indent=1))
+        after = point_hashes()
+        assert after[str(edited)] != before[str(edited)]
+        assert {k: v for k, v in after.items() if k != str(edited)} == \
+            {k: v for k, v in before.items() if k != str(edited)}
 
 
 class TestQaeTrainCli:
@@ -114,6 +139,16 @@ class TestNnTrainCli:
         code = run("nn", "train", "--dataset", dataset, "--epochs", 5,
                    "--out", tmp_path / "nn.json")
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("truncation", ["schema_line_only", "short_row"])
+    def test_truncated_dataset_is_upstream_error(self, tmp_path, truncation):
+        lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\":0}"]
+        if truncation == "short_row":
+            lines += ["bond_length,energy,oracle_energy,flag,theta_0", "0.5,-1.0,-1.0"]
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
 
 
 class TestReport:

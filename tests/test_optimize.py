@@ -96,20 +96,32 @@ class TestParameterShift:
 
     def test_matches_finite_differences_on_random_circuits(self):
         rng = np.random.default_rng(21)
-        c = strongly_entangling(2, 1)
+        # U1, RY and RZ gates, a U3 angle with a coefficient and an offset,
+        # and slot 0 read by two angle positions of the same U3
+        mixed = Circuit(2, (
+            Gate("RY", (1,), (Param.ref(3, 2.0),)),
+            Gate("H", (0,)),
+            Gate("U3", (0,), (Param(0, -1.5, 0.3), Param.ref(1), Param(0, 0.5, -0.2))),
+            Gate("CNOT", (0, 1)),
+            Gate("U1", (1,), (Param.ref(2),)),
+            Gate("RZ", (0,), (Param.ref(1),)),
+            Gate("CNOT", (1, 0)),
+            Gate("U3", (1,), (Param.ref(4), Param.const(0.7), Param.ref(2, -1.0))),
+        ), 5)
         z = [PauliString("ZI", 0.8), PauliString("XY", -0.4), PauliString("ZZ", 0.3)]
-        cost = energy_fn(c, z, zero_state(2))
-        for _ in range(20):
-            p = rng.uniform(0, 2 * np.pi, c.n_params)
-            g = parameter_shift_gradient(c, z, p, zero_state(2))
-            fd = np.zeros_like(p)
-            h = 1e-5
-            for k in range(p.size):
-                dp = np.zeros_like(p)
-                dp[k] = h
-                fd[k] = (cost(p + dp) - cost(p - dp)) / (2 * h)
-            scale = max(np.max(np.abs(fd)), 1e-9)
-            assert np.max(np.abs(g - fd)) / scale < 1e-4
+        for c in (strongly_entangling(2, 1), mixed):
+            cost = energy_fn(c, z, zero_state(2))
+            for _ in range(20):
+                p = rng.uniform(0, 2 * np.pi, c.n_params)
+                g = parameter_shift_gradient(c, z, p, zero_state(2))
+                fd = np.zeros_like(p)
+                h = 1e-5
+                for k in range(p.size):
+                    dp = np.zeros_like(p)
+                    dp[k] = h
+                    fd[k] = (cost(p + dp) - cost(p - dp)) / (2 * h)
+                scale = max(np.max(np.abs(fd)), 1e-9)
+                assert np.max(np.abs(g - fd)) / scale < 1e-4
 
     def test_shared_slots_accumulate(self):
         # two RY gates on one wire sharing a slot: d<Z>/dt for RY(2t) total
