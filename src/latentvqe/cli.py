@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .ansatz import AnsatzSpec, build_ansatz, efficient_su2, strongly_entangling, uccsd_h2
+from .ansatz import build_ansatz, efficient_su2, uccsd_h2
 from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .circuit import resource_counts
 from .hamiltonian import (
@@ -33,7 +33,9 @@ from .optimize import (
     NumericalError, OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
     dataset_to_csv, optimize_vqe, staged_gate_optimize,
 )
-from .qae import QaeTrainingError, latent_vqe_circuit, qae_from_json, qae_to_dict, train_qae
+from .qae import (
+    LATENT_PQC, QaeTrainingError, latent_vqe_circuit, qae_from_json, qae_to_dict, train_qae,
+)
 from .rng import named_rng
 
 EXIT_OK = 0
@@ -167,8 +169,7 @@ def _best_staged(circuit, hamiltonian, rng, restarts: int) -> dict:
 def _latent_circuit_from(args):
     if not args.qae:
         raise UpstreamArtifactError("--ansatz latent requires --qae MODEL_PATH")
-    model = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
-    return latent_vqe_circuit(model, strongly_entangling(2, 1))
+    return latent_vqe_circuit(_read_artifact(Path(args.qae), qae_from_json, "QAE model"))
 
 
 def cmd_vqe_run(args) -> int:
@@ -182,11 +183,14 @@ def cmd_vqe_run(args) -> int:
         circuit = efficient_su2(4, 3)
     else:
         circuit = _latent_circuit_from(args)
-    counts = resource_counts(circuit)
-    if args.ansatz == "latent":
-        counts = resource_counts(strongly_entangling(2, 1))  # the PQC itself; decoder is frozen
+    for bond, h in points:
+        if h.n_qubits != circuit.n_qubits:
+            raise UpstreamArtifactError(f"hamiltonian at R={bond} acts on {h.n_qubits} "
+                                        f"qubits, the {args.ansatz} circuit on {circuit.n_qubits}")
+    # the latent circuit counts only its PQC; the decoder is frozen
+    counts = resource_counts(build_ansatz(LATENT_PQC) if args.ansatz == "latent" else circuit)
 
-    method = args.optimizer or ("staged" if args.ansatz == "latent" else "nm")
+    method = "staged" if args.ansatz == "latent" else "nm"
     results = []
     for i, (bond, h) in enumerate(points):
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
@@ -195,11 +199,7 @@ def cmd_vqe_run(args) -> int:
             res = _best_staged(circuit, h, rng, args.restarts)
         else:
             cfg = OptimizerConfig(
-                method="ADAM_PARAM_SHIFT" if method == "adam" else "NELDER_MEAD",
-                max_iterations=args.max_iterations,
-                tolerance=1e-10,
-                restarts=args.restarts,
-                learning_rate=0.05,
+                max_iterations=args.max_iterations, tolerance=1e-10, restarts=args.restarts,
             )
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
             res = optimize_vqe(circuit, h, cfg, rng=rng, initial=initial)
@@ -240,7 +240,6 @@ def cmd_qae_train(args) -> int:
     t0 = time.time()
     bond_lengths = tuple(float(x) for x in args.bond_lengths.split(","))
     config = OptimizerConfig(
-        method="ADAM_PARAM_SHIFT",
         max_iterations=args.max_iterations,
         tolerance=1e-13,
         restarts=args.restarts,
@@ -263,8 +262,7 @@ def cmd_qae_train(args) -> int:
 def cmd_dataset_generate(args) -> int:
     t0 = time.time()
     model = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
-    pqc_spec = AnsatzSpec("STRONGLY_ENTANGLING", 2, 1)
-    circuit = latent_vqe_circuit(model, build_ansatz(pqc_spec))
+    circuit = latent_vqe_circuit(model)
 
     grid = args.grid
     anchor_idx = int(np.argmin(np.abs(grid - args.anchor)))
@@ -277,7 +275,7 @@ def cmd_dataset_generate(args) -> int:
 
     dataset = constrained_sweep(
         circuit, hams, anchor_idx, best["params"],
-        StepConstraint(alpha=args.alpha, gamma=args.gamma), _STAGED, pqc_spec=pqc_spec,
+        StepConstraint(alpha=args.alpha, gamma=args.gamma), _STAGED, pqc_spec=LATENT_PQC,
     )
     out = Path(args.out)
     _write(out, dataset_to_csv(dataset))
@@ -298,17 +296,14 @@ def cmd_nn_train(args) -> int:
     config = mlp.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
-        batch_size=args.batch_size,
         train_fraction=args.train_fraction,
         seed=_subseed(args.seed, "nn"),
-        loss=args.loss,
     )
     result = mlp.train(dataset, config)
     out = Path(args.out)
     _write_json(out, mlp.model_to_dict(result["model"]))
     _write_manifest(out, "nn train",
-                    {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-                     "train_fraction": args.train_fraction, "loss": args.loss},
+                    {"epochs": args.epochs, "lr": args.lr, "train_fraction": args.train_fraction},
                     [args.dataset], [out], args.seed, t0)
     print(f"final train loss: {result['final_train_loss']:.3e}; "
           f"test loss: {result['test_loss']:.3e}")
@@ -322,7 +317,7 @@ def cmd_nn_eval(args) -> int:
     grid = args.grid
     ev = mlp.evaluate_energy_mae(model, qmodel, [float(r) for r in grid])
 
-    pqc_counts = resource_counts(strongly_entangling(2, 1))
+    pqc_counts = resource_counts(build_ansatz(LATENT_PQC))
     lines = ["bond_length,energy,oracle_energy,abs_error"]
     for p in ev["per_point_errors"]:
         lines.append(
@@ -424,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ansatz", choices=("uccsd", "su2", "latent"), required=True)
     run.add_argument("--ham", required=True)
     run.add_argument("--qae", help="QAE model path (latent ansatz only)")
-    run.add_argument("--optimizer", choices=("nm", "adam", "staged"))
     run.add_argument("--restarts", type=int, default=1)
     run.add_argument("--max-iterations", type=int, default=2000)
     run.add_argument("--seed", type=int, default=0)
@@ -461,9 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     ntrain.add_argument("--dataset", required=True)
     ntrain.add_argument("--epochs", type=int, default=60000)
     ntrain.add_argument("--lr", type=float, default=0.05)
-    ntrain.add_argument("--batch-size", type=int, default=0)
     ntrain.add_argument("--train-fraction", type=float, default=0.7)
-    ntrain.add_argument("--loss", choices=("circular", "cosine"), default="circular")
     ntrain.add_argument("--seed", type=int, default=0)
     ntrain.add_argument("--out", required=True)
     ntrain.set_defaults(fn=cmd_nn_train)

@@ -3,8 +3,8 @@
 Written from scratch on numpy: tanh hidden layers, linear output, and a
 periodicity-aware loss that compares angles through their Cartesian
 embedding, (cos a - cos b)^2 + (sin a - sin b)^2, so a prediction 2*pi away
-from the target costs nothing. Trained with full-batch (or mini-batch)
-gradient descent with momentum.
+from the target costs nothing. Trained with full-batch gradient descent
+with momentum.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import strongly_entangling
 from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from .optimize import NumericalError, ParameterDataset, dataset_to_csv, energy_fn
@@ -49,36 +48,22 @@ class MlpModel:
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 60000
-    batch_size: int = 0            # 0 = full batch
     train_fraction: float = 0.7
     seed: int = 0
-    loss: str = "circular"         # or "cosine"
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 1:
             raise ValueError("learning_rate must be > 0 and epochs >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
-        if self.loss not in ("circular", "cosine"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-
-
-def _angle_pair(predicted, target):
-    predicted = np.asarray(predicted, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if predicted.shape != target.shape:
-        raise ValueError("angle vectors must have equal length")
-    return predicted, target
 
 
 def circular_loss(predicted, target) -> float:
     """Mean over parameters of (cos t - cos p)^2 + (sin t - sin p)^2 = 2 (1 - cos(p - t))."""
-    return _loss_and_delta(*_angle_pair(predicted, target), "circular")[0]
-
-
-def cosine_loss(predicted, target) -> float:
-    """1 - mean cosine of the angle differences (the alternative loss flag)."""
-    return _loss_and_delta(*_angle_pair(predicted, target), "cosine")[0]
+    predicted, target = np.asarray(predicted, dtype=float), np.asarray(target, dtype=float)
+    if predicted.shape != target.shape:
+        raise ValueError("angle vectors must have equal length")
+    return _loss_and_delta(predicted, target)[0]
 
 
 def _glorot_init(rng: np.random.Generator, sizes):
@@ -102,24 +87,17 @@ def _forward(x, weights, biases):
     return acts
 
 
-def _loss_and_delta(pred, target, kind):
-    # Both losses reduce to functions of sin(pred - target); they differ by a
-    # constant factor of 2 and share the gradient direction.
+def _loss_and_delta(pred, target):
+    """Circular loss and its gradient with respect to `pred`."""
     diff = pred - target
-    if kind == "circular":
-        loss = float(np.mean(2.0 * (1.0 - np.cos(diff))))
-        delta = 2.0 * np.sin(diff) / diff.size
-    else:
-        loss = float(np.mean(1.0 - np.cos(diff)))
-        delta = np.sin(diff) / diff.size
-    return loss, delta
+    loss = float(np.mean(2.0 * (1.0 - np.cos(diff))))
+    return loss, 2.0 * np.sin(diff) / diff.size
 
 
-def loss_gradients(weights, biases, x, y, kind="circular"):
+def loss_gradients(weights, biases, x, y):
     """Loss and its analytic weight/bias gradients for one batch (backprop)."""
     acts = _forward(x, weights, biases)
-    loss, delta = _loss_and_delta(acts[-1], y, kind)
-    grad = delta
+    loss, grad = _loss_and_delta(acts[-1], y)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
     for k in range(len(weights) - 1, -1, -1):
@@ -159,16 +137,10 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
 
     xt, yt = x[train_idx], y[train_idx]
     trace = np.empty(config.epochs)
-    batch = len(train_idx) if config.batch_size in (0, None) else min(config.batch_size, len(train_idx))
     last = len(weights) - 1
 
     for epoch in range(config.epochs):
-        if batch == len(train_idx):
-            xb, yb = xt, yt
-        else:
-            pick = rng.choice(len(train_idx), size=batch, replace=False)
-            xb, yb = xt[pick], yt[pick]
-        loss, grads_w, grads_b = loss_gradients(weights, biases, xb, yb, config.loss)
+        loss, grads_w, grads_b = loss_gradients(weights, biases, xt, yt)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at epoch {epoch} (learning rate too high?)")
         trace[epoch] = loss
@@ -190,8 +162,8 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
     test_loss = float("nan")
     if len(test_idx):
         pred = _forward(x[test_idx], weights, biases)[-1]
-        test_loss, _ = _loss_and_delta(pred, y[test_idx], config.loss)
-    final_train, _ = _loss_and_delta(_forward(xt, weights, biases)[-1], yt, config.loss)
+        test_loss, _ = _loss_and_delta(pred, y[test_idx])
+    final_train, _ = _loss_and_delta(_forward(xt, weights, biases)[-1], yt)
     return {
         "model": model,
         "train_loss_trace": trace,
@@ -217,7 +189,7 @@ def predict(model: MlpModel, bond_length: float) -> np.ndarray:
 
 def evaluate_energy_mae(model: MlpModel, qae: QaeModel, bond_lengths) -> dict:
     """Energy error of predicted angles against the exact oracle, per point."""
-    circuit = latent_vqe_circuit(qae, strongly_entangling(2, 1))
+    circuit = latent_vqe_circuit(qae)
     points = []
     for r in bond_lengths:
         h = hamiltonian_for_distance(float(r))

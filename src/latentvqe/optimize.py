@@ -24,9 +24,6 @@ from .circuit import (
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
 from .statevector import StateVector, _apply_1q, pauli_sum_matrix, zero_state
 
-NELDER_MEAD = "NELDER_MEAD"
-ADAM_PARAM_SHIFT = "ADAM_PARAM_SHIFT"
-
 
 class NumericalError(ValueError):
     """A cost or loss turned non-finite during optimization."""
@@ -34,7 +31,6 @@ class NumericalError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = NELDER_MEAD
     max_iterations: int = 2000
     tolerance: float = 1e-10
     restarts: int = 1
@@ -42,8 +38,6 @@ class OptimizerConfig:
     learning_rate: float = 0.05
 
     def __post_init__(self):
-        if self.method not in (NELDER_MEAD, ADAM_PARAM_SHIFT):
-            raise ValueError(f"unknown optimizer method {self.method!r}")
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise ValueError("tolerance must be > 0 and max_iterations >= 1")
 
@@ -283,7 +277,7 @@ def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> d
 # --- staged per-gate optimization (U1 restriction, then theta/phi) ----------
 
 def _check_u3_slots(circuit: Circuit) -> None:
-    """Raise unless every free angle sits on a U3 gate that owns its slots alone."""
+    """Raise unless every free angle sits on an all-free U3 gate that owns its slots alone."""
     owner = {}
     for gi, g in enumerate(circuit.gates):
         slots = [p.slot for p in g.params if p.slot is not None]
@@ -291,6 +285,9 @@ def _check_u3_slots(circuit: Circuit) -> None:
             continue
         if g.kind != "U3":
             raise ValueError("staged optimization expects all free parameters on U3 gates")
+        if len(slots) != 3:
+            raise ValueError(f"staged optimization expects U3 gate {gi} on qubit "
+                             f"{g.targets[0]} to have three free angles, not {len(slots)}")
         if any(owner.setdefault(slot, gi) != gi for slot in slots):
             raise ValueError("staged optimization expects each slot on a single U3 gate")
 
@@ -364,7 +361,7 @@ def optimize_vqe(
     rng: np.random.Generator | None = None,
     initial=None,
 ) -> dict:
-    """Multi-restart VQE driver; first start at `initial` (if given), rest random."""
+    """Multi-restart Nelder-Mead VQE; first start at `initial` (if given), rest random."""
     config = config or OptimizerConfig()
     rng = rng or np.random.default_rng(config.seed)
     cost = energy_fn(circuit, hamiltonian, zero_state(circuit.n_qubits))
@@ -375,14 +372,7 @@ def optimize_vqe(
             x0 = np.asarray(initial, dtype=float)
         else:
             x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-        if config.method == NELDER_MEAD:
-            res = minimize(cost, x0, config=config)
-        else:
-            hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
-            amp0 = zero_state(circuit.n_qubits).amplitudes.reshape(-1, 1)
-            res = adam_minimize(
-                cost, lambda x: batched_shift_gradient(circuit, hmat, x, amp0), x0, config
-            )
+        res = minimize(cost, x0, config=config)
         evaluations += res["evaluations"]
         if best is None or res["value"] < best["value"]:
             best = res

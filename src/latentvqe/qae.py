@@ -13,23 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import qae_encoder
+from .ansatz import AnsatzSpec, build_ansatz, qae_encoder
 from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .circuit import (
     Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, concat,
     inverse, remap_qubits, simulate,
 )
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
-from .optimize import (
-    ADAM_PARAM_SHIFT, OptimizerConfig, adam_minimize, batched_energies,
-    batched_shift_gradient, minimize,
-)
+from .optimize import OptimizerConfig, adam_minimize, batched_energies, batched_shift_gradient
 from .statevector import (
     PauliString, StateVector, fidelity_with_zero, partial_trace, pauli_sum_matrix,
 )
 
 LATENT_QUBITS = (0, 1)
 TRASH_QUBITS = (2, 3)
+# the 12-parameter PQC that the latent VQE optimizes on LATENT_QUBITS
+LATENT_PQC = AnsatzSpec("STRONGLY_ENTANGLING", len(LATENT_QUBITS), 1)
 DEFAULT_TRAINING_BOND_LENGTHS = (0.4, 0.7, 1.0, 1.5, 2.0, 2.5)
 
 
@@ -43,21 +42,18 @@ class QaeModel:
     encoder_params: np.ndarray
     achieved_trash_infidelity: float
     training_bond_lengths: tuple[float, ...]
-    latent_qubits: tuple[int, ...] = LATENT_QUBITS
-    trash_qubits: tuple[int, ...] = TRASH_QUBITS
 
     def __post_init__(self):
-        n = self.encoder.n_qubits
-        if sorted(self.latent_qubits + self.trash_qubits) != list(range(n)):
-            raise ValueError("latent and trash qubits must partition the register")
+        if self.encoder.n_qubits != len(LATENT_QUBITS) + len(TRASH_QUBITS):
+            raise ValueError("the encoder must act on the latent and trash qubits")
         if not 0.0 <= self.achieved_trash_infidelity <= 1.0:
             raise ValueError("trash infidelity must lie in [0, 1]")
 
 
-def trash_projector(n_qubits: int, trash_qubits=TRASH_QUBITS) -> tuple[PauliString, ...]:
+def trash_projector(n_qubits: int) -> tuple[PauliString, ...]:
     """|0..0><0..0| on the trash qubits as a Pauli sum: prod (I + Z_t)/2."""
     strings = [("I" * n_qubits, 1.0)]
-    for t in trash_qubits:
+    for t in TRASH_QUBITS:
         grown = []
         for ops, c in strings:
             grown.append((ops, c * 0.5))
@@ -108,9 +104,8 @@ def train_qae(
 ) -> QaeModel:
     """Train the 2-layer encoder on exact ground states at the given bond lengths.
 
-    Each restart runs Adam from a fresh random initialization, then a short
-    Nelder-Mead polish if Adam stopped short of `target`. Restarts continue
-    until the trash cost beats `target` or the restart budget
+    Each restart runs Adam from a fresh random initialization. Restarts
+    continue until the trash cost beats `target` or the restart budget
     (config.restarts, default 20) runs out; raises QaeTrainingError if the
     best cost is still above 1e-4 then.
     """
@@ -119,8 +114,7 @@ def train_qae(
         raise ValueError("need at least 2 training bond lengths")
     encoder = qae_encoder(4, 2)
     config = config or OptimizerConfig(
-        method=ADAM_PARAM_SHIFT, max_iterations=1200, tolerance=1e-13,
-        restarts=20, learning_rate=0.1,
+        max_iterations=1200, tolerance=1e-13, restarts=20, learning_rate=0.1,
     )
     states = training_states_for(bond_lengths)
     cost, grad = _batched_trash_cost_fn(encoder, states)
@@ -131,11 +125,6 @@ def train_qae(
     for _ in range(max(1, config.restarts)):
         x0 = rng.uniform(0.0, 2.0 * math.pi, encoder.n_params)
         res = adam_minimize(cost, grad, x0, config, stop_below=target / 10.0)
-        if res["value"] >= target:
-            # squeeze the tail with a short simplex polish around the optimum
-            res = minimize(
-                cost, res["params"], config=OptimizerConfig(max_iterations=400, tolerance=1e-15)
-            )
         if res["value"] < best_cost:
             best_cost = res["value"]
             best_params = res["params"]
@@ -161,16 +150,18 @@ def decoder_circuit(model: QaeModel) -> Circuit:
     return inverse(bind_constants(model.encoder, model.encoder_params))
 
 
-def latent_vqe_circuit(model: QaeModel, pqc: Circuit) -> Circuit:
-    """PQC(theta) on the latent qubits of |0000>, then the frozen decoder."""
-    if pqc.n_qubits != len(model.latent_qubits):
+def latent_vqe_circuit(model: QaeModel, pqc: Circuit | None = None) -> Circuit:
+    """PQC(theta) on the latent qubits of |0000>, then the frozen decoder.
+
+    The PQC defaults to LATENT_PQC, the one the pipeline optimizes.
+    """
+    if pqc is None:
+        pqc = build_ansatz(LATENT_PQC)
+    if pqc.n_qubits != len(LATENT_QUBITS):
         raise ValueError(
-            f"PQC acts on {pqc.n_qubits} qubits but the latent space has "
-            f"{len(model.latent_qubits)}"
+            f"PQC acts on {pqc.n_qubits} qubits but the latent space has {len(LATENT_QUBITS)}"
         )
-    n = model.encoder.n_qubits
-    mapping = {i: q for i, q in enumerate(model.latent_qubits)}
-    embedded = remap_qubits(pqc, mapping, n)
+    embedded = remap_qubits(pqc, dict(enumerate(LATENT_QUBITS)), model.encoder.n_qubits)
     return concat(embedded, decoder_circuit(model))
 
 
@@ -178,9 +169,7 @@ def reconstruct(model: QaeModel, state: StateVector) -> StateVector:
     """Encode, reset the trash register to |00> (post-select), decode."""
     encoded = simulate(model.encoder, model.encoder_params, state)
     amp = encoded.amplitudes.copy()
-    mask = 0
-    for t in model.trash_qubits:
-        mask |= 1 << t
+    mask = sum(1 << t for t in TRASH_QUBITS)
     idx = np.arange(amp.size)
     amp[(idx & mask) != 0] = 0.0
     norm = np.linalg.norm(amp)
@@ -197,8 +186,8 @@ def qae_to_dict(model: QaeModel) -> dict:
         "schema_version": SCHEMA_VERSION,
         "encoder": circuit_to_dict(model.encoder),
         "encoder_params": [float(x) for x in model.encoder_params],
-        "latent_qubits": list(model.latent_qubits),
-        "trash_qubits": list(model.trash_qubits),
+        "latent_qubits": list(LATENT_QUBITS),
+        "trash_qubits": list(TRASH_QUBITS),
         "achieved_trash_infidelity": model.achieved_trash_infidelity,
         "training_bond_lengths": list(model.training_bond_lengths),
     }
@@ -206,13 +195,16 @@ def qae_to_dict(model: QaeModel) -> dict:
 
 def qae_from_dict(doc: dict) -> QaeModel:
     require_schema(doc, "QAE")
+    # the decoder only restores states whose trash register it was trained to empty
+    if doc["latent_qubits"] != list(LATENT_QUBITS) or doc["trash_qubits"] != list(TRASH_QUBITS):
+        raise ValueError(f"QAE wires must be latent {list(LATENT_QUBITS)} and trash "
+                         f"{list(TRASH_QUBITS)}, got {doc['latent_qubits']} and "
+                         f"{doc['trash_qubits']}")
     return QaeModel(
         encoder=circuit_from_dict(doc["encoder"]),
         encoder_params=np.array(doc["encoder_params"], dtype=float),
         achieved_trash_infidelity=float(doc["achieved_trash_infidelity"]),
         training_bond_lengths=tuple(float(r) for r in doc["training_bond_lengths"]),
-        latent_qubits=tuple(doc["latent_qubits"]),
-        trash_qubits=tuple(doc["trash_qubits"]),
     )
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from latentvqe.ansatz import qae_encoder
 from latentvqe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, main
+from latentvqe.qae import QaeModel, qae_to_dict
 
 
 def run(*argv):
@@ -47,6 +49,13 @@ def ham(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def qae_doc():
+    encoder = qae_encoder(4, 2)
+    params = np.random.default_rng(0).uniform(0, 2 * np.pi, encoder.n_params)
+    return qae_to_dict(QaeModel(encoder, params, 0.0, (0.5, 1.0)))
+
+
 class TestVqeRun:
     def test_uccsd_single_point(self, ham, tmp_path):
         out = tmp_path / "uccsd.json"
@@ -77,7 +86,8 @@ class TestVqeRun:
 
     @pytest.mark.parametrize("malform", ["terms_not_a_list", "coeff_is_a_list", "top_level_array",
                                          "grid_files_not_a_list", "grid_files_empty",
-                                         "n_qubits_too_large", "pauli_string_too_short"])
+                                         "n_qubits_too_large", "pauli_string_too_short",
+                                         "two_qubit_hamiltonian", "eight_qubit_hamiltonian"])
     def test_malformed_ham_is_upstream_error(self, ham, tmp_path, malform):
         doc = json.loads(ham.read_text())
         if malform == "terms_not_a_list":
@@ -88,6 +98,14 @@ class TestVqeRun:
             doc["n_qubits"] = 5
         elif malform == "pauli_string_too_short":
             doc["terms"][-1]["pauli"] = "XXZ"
+        elif malform == "two_qubit_hamiltonian":
+            doc["n_qubits"] = 2
+            for t in doc["terms"]:
+                t["pauli"] = t["pauli"][:2]
+        elif malform == "eight_qubit_hamiltonian":
+            doc["n_qubits"] = 8
+            for t in doc["terms"]:
+                t["pauli"] += "IIII"
         elif malform == "top_level_array":
             doc = [doc]
         else:
@@ -96,6 +114,17 @@ class TestVqeRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = run("vqe", "run", "--ansatz", "uccsd", "--ham", bad, "--out", tmp_path / "x.json")
+        assert code == EXIT_UPSTREAM
+
+    @pytest.mark.parametrize("latent, trash", [([0, 2], [1, 3]), ([1, 0], [2, 3]),
+                                               ([0, 1], [3, 2])],
+                             ids=["latent_0_2", "latent_1_0", "trash_3_2"])
+    def test_latent_rejects_other_qae_wires(self, ham, qae_doc, tmp_path, latent, trash):
+        # the decoder only works for the trash register the encoder was trained to empty
+        path = tmp_path / "qae.json"
+        path.write_text(json.dumps(dict(qae_doc, latent_qubits=latent, trash_qubits=trash)))
+        code = run("vqe", "run", "--ansatz", "latent", "--ham", ham, "--qae", path,
+                   "--out", tmp_path / "x.json")
         assert code == EXIT_UPSTREAM
 
     def test_manifest_hashes_every_grid_point_file(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from latentvqe.ansatz import AnsatzSpec
 from latentvqe.mlp import (
-    MlpModel, TrainConfig, circular_loss, cosine_loss, loss_gradients,
+    MlpModel, TrainConfig, circular_loss, loss_gradients,
     model_from_json, model_to_json, predict, train,
 )
 from latentvqe.optimize import DatasetRecord, ParameterDataset
@@ -38,22 +38,16 @@ class TestCircularLoss:
         with pytest.raises(ValueError):
             circular_loss([0.0], [0.0, 1.0])
 
-    def test_cosine_variant_is_half_scale(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.uniform(0, 2 * np.pi, 6), rng.uniform(0, 2 * np.pi, 6)
-        assert cosine_loss(a, b) == pytest.approx(circular_loss(a, b) / 2.0)
-
 
 class TestBackprop:
-    @pytest.mark.parametrize("kind", ["circular", "cosine"])
-    def test_gradients_match_finite_differences(self, kind):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         sizes = (1, 4, 2)
         weights = [rng.normal(scale=0.7, size=(a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
         biases = [rng.normal(scale=0.3, size=b) for b in sizes[1:]]
         x = rng.uniform(0, 1, size=(7, 1))
         y = rng.uniform(0, 2 * np.pi, size=(7, 2))
-        _, gw, gb = loss_gradients(weights, biases, x, y, kind)
+        _, gw, gb = loss_gradients(weights, biases, x, y)
 
         h = 1e-6
         for k in range(len(weights)):
@@ -62,8 +56,8 @@ class TestBackprop:
                 wm = [w.copy() for w in weights]
                 wp[k][idx] += h
                 wm[k][idx] -= h
-                lp, _, _ = loss_gradients(wp, biases, x, y, kind)
-                lm, _, _ = loss_gradients(wm, biases, x, y, kind)
+                lp, _, _ = loss_gradients(wp, biases, x, y)
+                lm, _, _ = loss_gradients(wm, biases, x, y)
                 fd = (lp - lm) / (2 * h)
                 assert gw[k][idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
             for j in range(biases[k].size):
@@ -71,8 +65,8 @@ class TestBackprop:
                 bm = [b.copy() for b in biases]
                 bp[k][j] += h
                 bm[k][j] -= h
-                lp, _, _ = loss_gradients(weights, bp, x, y, kind)
-                lm, _, _ = loss_gradients(weights, bm, x, y, kind)
+                lp, _, _ = loss_gradients(weights, bp, x, y)
+                lm, _, _ = loss_gradients(weights, bm, x, y)
                 fd = (lp - lm) / (2 * h)
                 assert gb[k][j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 

@@ -203,6 +203,12 @@ class TestStaged:
         with pytest.raises(ValueError, match="U3"):
             staged_gate_optimize(c, [PauliString("Z", 1.0)], np.zeros(1))
 
+    def test_rejects_u3_with_a_constant_angle(self):
+        u3 = Gate("U3", (0,), (Param.ref(0), Param.ref(1), Param.const(0.3)))
+        c = Circuit(1, (u3,), 2)
+        with pytest.raises(ValueError, match="U3 gate 0 on qubit 0"):
+            staged_gate_optimize(c, [PauliString("Z", 1.0)], np.zeros(2))
+
 
 class TestStepConstraint:
     def test_window_arithmetic(self):
@@ -331,8 +337,6 @@ class TestDatasetCsv:
 
 class TestOptimizerConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(method="BFGS")
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ValueError):

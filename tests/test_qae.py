@@ -91,8 +91,7 @@ class TestTraining:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(QaeTrainingError):
             train_qae(config=OptimizerConfig(
-                method="ADAM_PARAM_SHIFT", max_iterations=1, tolerance=1e-16,
-                restarts=1, learning_rate=1e-6,
+                max_iterations=1, tolerance=1e-16, restarts=1, learning_rate=1e-6,
             ))
 
 
