@@ -8,14 +8,13 @@ without introducing new parameters.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
+from .artifacts import SCHEMA_VERSION, require_schema
 from .statevector import StateVector, _apply_1q
 
 PARAM_ARITY = {"U3": 3, "U1": 1, "RY": 1, "RZ": 1, "H": 0, "X": 0, "CNOT": 0}
@@ -142,17 +141,16 @@ def _cnot_permutation(dim: int, control: int, target: int) -> np.ndarray:
     return perm
 
 
-def apply_cnot(amp: np.ndarray, targets) -> np.ndarray:
-    """CNOT(control, target) as a row permutation of a vector or (2^n, batch) stack."""
-    control, target = targets
-    return amp[_cnot_permutation(amp.shape[0], control, target)]
-
-
 def apply_gates(amp: np.ndarray, gates, params: np.ndarray, n: int) -> np.ndarray:
-    """Apply `gates` in order to a raw amplitude array or a (2^n, batch) stack."""
+    """Apply `gates` in order to a raw amplitude array or a (2^n, batch) stack.
+
+    CNOT is a row permutation; every other gate goes through its 2x2 matrix.
+    This gate-by-gate loop is the reference that compiled plans are tested
+    against.
+    """
     for g in gates:
         if g.kind == "CNOT":
-            amp = apply_cnot(amp, g.targets)
+            amp = amp[_cnot_permutation(amp.shape[0], *g.targets)]
         else:
             amp = _apply_1q(amp, gate_matrix(g, params), g.targets[0], n)
     return amp
@@ -173,6 +171,132 @@ def simulate(circuit: Circuit, params, initial: StateVector) -> StateVector:
     if initial.n_qubits != circuit.n_qubits:
         raise ValueError("initial state qubit count does not match circuit")
     return StateVector(circuit.n_qubits, apply_circuit(initial.amplitudes, circuit, params))
+
+
+# --- evaluation plan -----------------------------------------------------------
+
+_DIAGONAL = ("RZ", "U1")
+_U3_PHASES = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])  # rows phi, lambda
+
+
+class ConstantStep:
+    """A run of gates without a free angle, applied as one unitary.
+
+    A run of CNOT and X gates only is a composed row permutation, which moves
+    amplitudes without arithmetic; any other run is one dense matrix.
+    """
+
+    def __init__(self, gates, n: int):
+        self.matrix = apply_gates(np.eye(1 << n, dtype=complex), gates, np.zeros(0), n)
+        self.perm = None
+        if all(g.kind in ("CNOT", "X") for g in gates):
+            # exact 0/1 entries: row i has its 1 in column perm[i], column j in row inverse[j]
+            self.perm = self.matrix.real.argmax(axis=1)
+            self.inverse_perm = self.matrix.real.argmax(axis=0)
+
+    def apply(self, amp: np.ndarray, angles=None) -> np.ndarray:
+        return amp[self.perm] if self.perm is not None else self.matrix @ amp
+
+    def apply_transpose(self, amp: np.ndarray) -> np.ndarray:
+        return amp[self.inverse_perm] if self.perm is not None else self.matrix.T @ amp
+
+
+class LayerStep:
+    """Free gates of one kind on distinct qubits, applied together.
+
+    Free RZ and U1 gates form one phase vector exp(i W a). Free RY gates, or
+    free U3 gates, form one Kronecker product, whose entry (i, j) is the
+    product over the layer's gates of their 2x2 entry (bit_q(i), bit_q(j)),
+    and zero where i and j differ on a qubit outside the layer.
+    `angles[lo:hi]` holds the layer's angles: (theta, phi, lambda) per U3
+    gate, one per other gate.
+    """
+
+    def __init__(self, kind: str, gates, lo: int, n: int):
+        self.kind, self.gates = kind, tuple(gates)
+        self.lo, self.hi = lo, lo + sum(len(g.params) for g in self.gates)
+        qubits = [g.targets[0] for g in self.gates]
+        idx = np.arange(1 << n)
+        bits = (idx[None, :] >> np.array(qubits)[:, None]) & 1
+        if kind == "phase":
+            # RZ(a) = diag(e^{-ia/2}, e^{ia/2}), U1(a) = diag(1, e^{ia})
+            shift = np.array([0.5 if g.kind == "RZ" else 0.0 for g in self.gates])
+            self.weights = (bits - shift[:, None]).T
+            return
+        gate = np.arange(len(qubits))[:, None, None]
+        self.index = 4 * gate + 2 * bits[:, :, None] + bits[:, None, :]
+        others = sum(1 << q for q in range(n) if q not in qubits)
+        self.mask = ((idx[:, None] ^ idx[None, :]) & others) == 0 if others else None
+
+    def apply(self, amp: np.ndarray, angles: np.ndarray) -> np.ndarray:
+        a = angles[self.lo:self.hi]
+        if self.kind == "phase":
+            phase = np.exp(1j * (self.weights @ a))
+            return (phase[:, None] if amp.ndim > 1 else phase) * amp
+        if self.kind == "U3":
+            a = a.reshape(-1, 3)
+            # entries 00, 01, 10, 11 of U3: c, -e^{i lam} s, e^{i phi} s, e^{i(phi + lam)} c
+            phases = np.exp(1j * (a[:, 1:] @ _U3_PHASES))
+            a = a[:, 0]
+        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
+        entries = np.stack([c, -s, s, c], axis=1)
+        if self.kind == "U3":
+            entries = entries * phases
+        kron = entries.reshape(-1)[self.index].prod(axis=0)
+        if self.mask is not None:
+            kron = kron * self.mask
+        return kron @ amp
+
+
+class Plan:
+    """A circuit compiled into a short list of steps (see `compile_plan`).
+
+    Each maximal run of gates without a free angle is one ConstantStep; each
+    run of free gates of one kind (RZ and U1, RY, or U3) on distinct qubits is
+    one LayerStep. `apply` evaluates every free angle, coeff * params[slot] +
+    offset, at once.
+    """
+
+    def __init__(self, circuit: Circuit):
+        n = circuit.n_qubits
+        groups: list[tuple[str, list[Gate]]] = []
+        for g in circuit.gates:
+            if not any(p.slot is not None for p in g.params):
+                cls = "constant"
+            else:
+                cls = "phase" if g.kind in _DIAGONAL else g.kind
+            if groups and groups[-1][0] == cls and (
+                    cls == "constant" or g.targets[0] not in {h.targets[0] for h in groups[-1][1]}):
+                groups[-1][1].append(g)
+            else:
+                groups.append((cls, [g]))
+        steps, table = [], []
+        for cls, gates in groups:
+            if cls == "constant":
+                steps.append(ConstantStep(gates, n))
+                continue
+            steps.append(LayerStep(cls, gates, len(table), n))
+            table.extend(p for g in gates for p in g.params)
+        self.steps = tuple(steps)
+        # every free gate's angle positions in step order; a constant one reads 0 * params[0]
+        self._slots = np.array([p.slot or 0 for p in table], dtype=int)
+        self._coeffs = np.array([p.coeff if p.slot is not None else 0.0 for p in table])
+        self._offsets = np.array([p.offset for p in table])
+
+    def apply(self, amp: np.ndarray, params, steps=None) -> np.ndarray:
+        """Run `steps` (default: all) on a vector or (2^n, batch) stack."""
+        angles = self._coeffs * np.asarray(params, dtype=float)[self._slots] + self._offsets
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("gate angles must be finite")
+        for step in self.steps if steps is None else steps:
+            amp = step.apply(amp, angles)
+        return amp
+
+
+@lru_cache(maxsize=128)
+def compile_plan(circuit: Circuit) -> Plan:
+    """The circuit's evaluation plan, compiled once per distinct circuit."""
+    return Plan(circuit)
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -277,14 +401,6 @@ def circuit_from_dict(doc: dict) -> Circuit:
         )
         gates.append(Gate(rec["kind"], tuple(rec["targets"]), params))
     return Circuit(doc["n_qubits"], tuple(gates), doc["n_params"])
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    return canonical_json(circuit_to_dict(circuit))
-
-
-def circuit_from_json(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))
 
 
 # --- SWAP-test property-check circuit --------------------------------------

@@ -174,6 +174,9 @@ def _latent_circuit_from(args):
 
 def cmd_vqe_run(args) -> int:
     t0 = time.time()
+    if args.ansatz == "latent" and args.max_iterations is not None:
+        raise ValueError("--max-iterations bounds the Nelder-Mead simplex of uccsd/su2 only; "
+                         "the staged latent solve does not take it")
     points, point_files = _load_ham_points(Path(args.ham))
     inputs = [args.ham] + point_files + ([args.qae] if args.ansatz == "latent" else [])
 
@@ -199,7 +202,8 @@ def cmd_vqe_run(args) -> int:
             res = _best_staged(circuit, h, rng, args.restarts)
         else:
             cfg = OptimizerConfig(
-                max_iterations=args.max_iterations, tolerance=1e-10, restarts=args.restarts,
+                max_iterations=2000 if args.max_iterations is None else args.max_iterations,
+                tolerance=1e-10, restarts=args.restarts,
             )
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
             res = optimize_vqe(circuit, h, cfg, rng=rng, initial=initial)
@@ -420,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ham", required=True)
     run.add_argument("--qae", help="QAE model path (latent ansatz only)")
     run.add_argument("--restarts", type=int, default=1)
-    run.add_argument("--max-iterations", type=int, default=2000)
+    run.add_argument("--max-iterations", type=int, default=None,
+                     help="Nelder-Mead budget per start for uccsd/su2 (default 2000)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", required=True)
     run.set_defaults(fn=cmd_vqe_run)

@@ -19,7 +19,7 @@ import numpy as np
 from .ansatz import AnsatzSpec
 from .artifacts import SCHEMA_VERSION, canonical_json
 from .circuit import (
-    _MATRIX_FNS, Circuit, apply_circuit, apply_cnot, apply_gates, gate_matrix,
+    _MATRIX_FNS, Circuit, ConstantStep, Gate, apply_circuit, compile_plan, gate_matrix,
 )
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
 from .statevector import StateVector, _apply_1q, pauli_sum_matrix, zero_state
@@ -66,12 +66,21 @@ def _terms_of(hamiltonian):
 
 
 def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
-    """params -> <psi(params)|H|psi(params)> with a cached dense observable."""
-    terms = _terms_of(hamiltonian)
-    hmat = pauli_sum_matrix(terms, circuit.n_qubits)
-    amp0 = initial.amplitudes
+    """params -> <psi(params)|H|psi(params)> on the circuit's compiled plan.
+
+    A leading constant step is applied to `initial` once, and a trailing one,
+    T, is folded into the dense observable as T^dag H T.
+    """
+    plan = compile_plan(circuit)
+    hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
+    amp0, steps = initial.amplitudes, plan.steps
+    if steps and isinstance(steps[0], ConstantStep):
+        amp0, steps = steps[0].apply(amp0), steps[1:]
+    if steps and isinstance(steps[-1], ConstantStep):
+        t = steps[-1].matrix
+        hmat, steps = t.conj().T @ hmat @ t, steps[:-1]
     def cost(params):
-        amp = apply_circuit(amp0, circuit, np.asarray(params, dtype=float))
+        amp = plan.apply(amp0, params, steps)
         return float(np.real(np.vdot(amp, hmat @ amp)))
     return cost
 
@@ -174,31 +183,36 @@ def batched_energies(amp_cols: np.ndarray, hmat: np.ndarray) -> np.ndarray:
 def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
     """Yield (gate, state before it, S^dag H S) for each gate with a free angle.
 
-    S is the product of all gates after the yielded one. All S^dag H S come
-    from one backward pass at the first step, tracking S^T applied to the
-    identity, with `params` as they are then. The state before each gate is
-    advanced lazily from the previous one with `params` as they are at that
-    step, so a caller that updates `params` in place between steps sees its
-    updates in the states of later gates.
+    S is the product of all gates after the yielded one. The walk runs on the
+    circuit's compiled plan: each constant step is one fused permutation or
+    matrix, and the free gates of a layer are visited one at a time. All
+    S^dag H S come from one backward pass at the first step, tracking S^T
+    applied to the identity, with `params` as they are then. The state before
+    each gate is advanced lazily from the previous one with `params` as they
+    are at that step, so a caller that updates `params` in place between
+    steps sees its updates in the states of later gates.
     """
-    n, gates = circuit.n_qubits, circuit.gates
-    free = [gi for gi, g in enumerate(gates) if any(p.slot is not None for p in g.params)]
+    n = circuit.n_qubits
+    ops = [op for step in compile_plan(circuit).steps
+           for op in ((step,) if isinstance(step, ConstantStep) else step.gates)]
+    free = [k for k, op in enumerate(ops) if isinstance(op, Gate)]
     st = np.eye(1 << n, dtype=complex)
     conjugated = {}
-    for gi in range(len(gates) - 1, -1, -1):
-        if gi in free:
-            s = st.T
-            conjugated[gi] = s.conj().T @ hmat @ s
-        g = gates[gi]
-        if g.kind == "CNOT":
-            st = apply_cnot(st, g.targets)
-        else:
-            st = _apply_1q(st, gate_matrix(g, params).T, g.targets[0], n)
+    for k in reversed(range(len(ops))):
+        op = ops[k]
+        if isinstance(op, ConstantStep):
+            st = op.apply_transpose(st)
+            continue
+        s = st.T
+        conjugated[k] = s.conj().T @ hmat @ s
+        st = _apply_1q(st, gate_matrix(op, params).T, op.targets[0], n)
     pre, done = amp0, 0
-    for gi in free:
-        pre = apply_gates(pre, gates[done:gi], params, n)
-        done = gi
-        yield gates[gi], pre, conjugated.pop(gi)
+    for k in free:
+        for op in ops[done:k]:
+            pre = (op.apply(pre) if isinstance(op, ConstantStep)
+                   else _apply_1q(pre, gate_matrix(op, params), op.targets[0], n))
+        done = k
+        yield ops[k], pre, conjugated.pop(k)
 
 
 def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> np.ndarray:

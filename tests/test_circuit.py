@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from latentvqe.ansatz import efficient_su2, strongly_entangling, uccsd_h2
+from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
-    Circuit, Gate, Param, bind_constants, circuit_from_json, circuit_to_json,
+    Circuit, Gate, Param, bind_constants, circuit_from_dict, circuit_to_dict,
     gate_matrix, inverse, resource_counts, ry_matrix, rz_matrix, simulate,
     swap_test_circuit, u1_matrix, u3_matrix,
 )
@@ -128,25 +129,25 @@ class TestSerialization:
         swap_test_circuit(2),
     ])
     def test_round_trip_lossless(self, circ):
-        doc = circuit_to_json(circ)
-        back = circuit_from_json(doc)
+        doc = canonical_json(circuit_to_dict(circ))
+        back = circuit_from_dict(json.loads(doc))
         assert back == circ
-        assert circuit_to_json(back) == doc
+        assert canonical_json(circuit_to_dict(back)) == doc
 
     def test_round_trip_preserves_simulation(self):
         rng = np.random.default_rng(1)
         c = uccsd_h2()
-        back = circuit_from_json(circuit_to_json(c))
+        back = circuit_from_dict(json.loads(canonical_json(circuit_to_dict(c))))
         p = rng.uniform(0, 2 * np.pi, 3)
         a = simulate(c, p, zero_state(4)).amplitudes
         b = simulate(back, p, zero_state(4)).amplitudes
         assert np.array_equal(a, b)
 
     def test_schema_rejected(self):
-        doc = json.loads(circuit_to_json(strongly_entangling(2, 1)))
+        doc = circuit_to_dict(strongly_entangling(2, 1))
         doc["schema_version"] = "latentvqe/0"
         with pytest.raises(ValueError, match="schema"):
-            circuit_from_json(json.dumps(doc))
+            circuit_from_dict(doc)
 
 
 class TestValidation:

@@ -127,6 +127,24 @@ class TestVqeRun:
                    "--out", tmp_path / "x.json")
         assert code == EXIT_UPSTREAM
 
+    def test_latent_rejects_max_iterations(self, ham, qae_doc, tmp_path, capsys):
+        # the flag bounds the uccsd/su2 simplex; the staged latent solve would ignore it
+        path = tmp_path / "qae.json"
+        path.write_text(json.dumps(qae_doc))
+        out = tmp_path / "x.json"
+        code = run("vqe", "run", "--ansatz", "latent", "--ham", ham, "--qae", path,
+                   "--max-iterations", 50, "--out", out)
+        assert code == EXIT_USAGE
+        assert "--max-iterations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_iterations_bounds_the_simplex(self, ham, tmp_path):
+        out = tmp_path / "su2.json"
+        assert run("vqe", "run", "--ansatz", "su2", "--ham", ham, "--max-iterations", 5,
+                   "--out", out) == EXIT_OK
+        # 33 vertices, then at most 5 iterations of at most 33 evaluations (a shrink)
+        assert json.loads(out.read_text())["evaluations"] <= 33 + 5 * 33
+
     def test_manifest_hashes_every_grid_point_file(self, tmp_path):
         grid = tmp_path / "grid"
         run("ham", "build", "--grid", "0.6:0.8:2", "--out", grid)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
-    PARAM_ARITY, Circuit, Gate, Param, circuit_from_dict, circuit_to_dict, inverse, simulate,
+    PARAM_ARITY, Circuit, Gate, Param, apply_circuit, circuit_from_dict, circuit_to_dict,
+    compile_plan, inverse, simulate,
 )
 from latentvqe.hamiltonian import _string_product
 from latentvqe.statevector import PauliString, StateVector, pauli_sum_matrix
@@ -67,6 +68,16 @@ def test_inverse_undoes_simulate(circuit, seed):
     state = StateVector(N_QUBITS, amp / np.linalg.norm(amp))
     back = simulate(inverse(circuit), params, simulate(circuit, params, state))
     np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_gates=20), st.integers(0, 2**32 - 1))
+def test_compiled_plan_matches_gate_by_gate_reference(circuit, seed):
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-np.pi, np.pi, circuit.n_params)
+    amp = rng.normal(size=(1 << N_QUBITS, 2)) + 1j * rng.normal(size=(1 << N_QUBITS, 2))
+    np.testing.assert_allclose(compile_plan(circuit).apply(amp, params),
+                               apply_circuit(amp, circuit, params), rtol=0, atol=1e-12)
 
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=3, max_size=3)
