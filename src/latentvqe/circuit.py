@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +81,11 @@ class Circuit:
             missing = sorted(set(range(self.n_params)) - seen)
             raise ValueError(f"unreferenced parameter slots: {missing}")
 
+    @cached_property
+    def plan(self) -> "Plan":
+        """This circuit's evaluation plan (`compile_plan`), looked up once per object."""
+        return compile_plan(self)
+
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     """Generic 3-angle single-qubit rotation.
@@ -146,7 +151,7 @@ def apply_gates(amp: np.ndarray, gates, params: np.ndarray, n: int) -> np.ndarra
 
     CNOT is a row permutation; every other gate goes through its 2x2 matrix.
     This gate-by-gate loop is the reference that compiled plans are tested
-    against.
+    against, and what `simulate` runs.
     """
     for g in gates:
         if g.kind == "CNOT":
@@ -156,13 +161,13 @@ def apply_gates(amp: np.ndarray, gates, params: np.ndarray, n: int) -> np.ndarra
     return amp
 
 
-def apply_circuit(amp: np.ndarray, circuit: Circuit, params: np.ndarray) -> np.ndarray:
-    """Run the circuit's gate list over a raw amplitude array (or a (2^n, batch) stack)."""
-    return apply_gates(amp, circuit.gates, params, circuit.n_qubits)
+def apply_circuit(amp: np.ndarray, circuit: Circuit, params) -> np.ndarray:
+    """Run the circuit's compiled plan over a raw amplitude array (or a (2^n, batch) stack)."""
+    return circuit.plan.apply(amp, params)
 
 
 def simulate(circuit: Circuit, params, initial: StateVector) -> StateVector:
-    """Apply the circuit's gates in list order to `initial`."""
+    """Apply the circuit's gates in list order to `initial` (the reference path)."""
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ValueError(
@@ -170,7 +175,8 @@ def simulate(circuit: Circuit, params, initial: StateVector) -> StateVector:
         )
     if initial.n_qubits != circuit.n_qubits:
         raise ValueError("initial state qubit count does not match circuit")
-    return StateVector(circuit.n_qubits, apply_circuit(initial.amplitudes, circuit, params))
+    amp = apply_gates(initial.amplitudes, circuit.gates, params, circuit.n_qubits)
+    return StateVector(circuit.n_qubits, amp)
 
 
 # --- evaluation plan -----------------------------------------------------------
@@ -180,25 +186,22 @@ _U3_PHASES = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])  # rows phi,
 
 
 class ConstantStep:
-    """A run of gates without a free angle, applied as one unitary.
+    """A run of gates without a free angle, applied as one dense unitary.
 
-    A run of CNOT and X gates only is a composed row permutation, which moves
-    amplitudes without arithmetic; any other run is one dense matrix.
+    The matrix of a run of CNOT and X gates only is a permutation with exact
+    0/1 entries, so its product with finite amplitudes is exact: each term is
+    x * 1 or x * 0, and adding zeros changes nothing.
     """
 
     def __init__(self, gates, n: int):
+        self.gates = tuple(gates)
         self.matrix = apply_gates(np.eye(1 << n, dtype=complex), gates, np.zeros(0), n)
-        self.perm = None
-        if all(g.kind in ("CNOT", "X") for g in gates):
-            # exact 0/1 entries: row i has its 1 in column perm[i], column j in row inverse[j]
-            self.perm = self.matrix.real.argmax(axis=1)
-            self.inverse_perm = self.matrix.real.argmax(axis=0)
 
     def apply(self, amp: np.ndarray, angles=None) -> np.ndarray:
-        return amp[self.perm] if self.perm is not None else self.matrix @ amp
+        return self.matrix @ amp
 
     def apply_transpose(self, amp: np.ndarray) -> np.ndarray:
-        return amp[self.inverse_perm] if self.perm is not None else self.matrix.T @ amp
+        return self.matrix.T @ amp
 
 
 class LayerStep:
@@ -283,12 +286,12 @@ class Plan:
         self._coeffs = np.array([p.coeff if p.slot is not None else 0.0 for p in table])
         self._offsets = np.array([p.offset for p in table])
 
-    def apply(self, amp: np.ndarray, params, steps=None) -> np.ndarray:
-        """Run `steps` (default: all) on a vector or (2^n, batch) stack."""
+    def apply(self, amp: np.ndarray, params) -> np.ndarray:
+        """Run every step on a vector or (2^n, batch) stack."""
         angles = self._coeffs * np.asarray(params, dtype=float)[self._slots] + self._offsets
         if not np.all(np.isfinite(angles)):
             raise ValueError("gate angles must be finite")
-        for step in self.steps if steps is None else steps:
+        for step in self.steps:
             amp = step.apply(amp, angles)
         return amp
 

@@ -19,7 +19,7 @@ import numpy as np
 from .ansatz import AnsatzSpec
 from .artifacts import SCHEMA_VERSION, canonical_json
 from .circuit import (
-    _MATRIX_FNS, Circuit, ConstantStep, Gate, apply_circuit, compile_plan, gate_matrix,
+    _MATRIX_FNS, Circuit, ConstantStep, Gate, apply_circuit, gate_matrix,
 )
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
 from .statevector import StateVector, _apply_1q, pauli_sum_matrix, zero_state
@@ -69,18 +69,20 @@ def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
     """params -> <psi(params)|H|psi(params)> on the circuit's compiled plan.
 
     A leading constant step is applied to `initial` once, and a trailing one,
-    T, is folded into the dense observable as T^dag H T.
+    T, is folded into the dense observable as T^dag H T. Each evaluation runs
+    `apply_circuit` on the gates in between.
     """
-    plan = compile_plan(circuit)
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
-    amp0, steps = initial.amplitudes, plan.steps
+    amp0, steps = initial.amplitudes, circuit.plan.steps
+    lo, hi = 0, len(circuit.gates)
     if steps and isinstance(steps[0], ConstantStep):
-        amp0, steps = steps[0].apply(amp0), steps[1:]
+        amp0, lo, steps = steps[0].apply(amp0), len(steps[0].gates), steps[1:]
     if steps and isinstance(steps[-1], ConstantStep):
         t = steps[-1].matrix
-        hmat, steps = t.conj().T @ hmat @ t, steps[:-1]
+        hmat, hi = t.conj().T @ hmat @ t, hi - len(steps[-1].gates)
+    inner = Circuit(circuit.n_qubits, circuit.gates[lo:hi], circuit.n_params)
     def cost(params):
-        amp = plan.apply(amp0, params, steps)
+        amp = apply_circuit(amp0, inner, params)
         return float(np.real(np.vdot(amp, hmat @ amp)))
     return cost
 
@@ -184,16 +186,16 @@ def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
     """Yield (gate, state before it, S^dag H S) for each gate with a free angle.
 
     S is the product of all gates after the yielded one. The walk runs on the
-    circuit's compiled plan: each constant step is one fused permutation or
-    matrix, and the free gates of a layer are visited one at a time. All
-    S^dag H S come from one backward pass at the first step, tracking S^T
-    applied to the identity, with `params` as they are then. The state before
-    each gate is advanced lazily from the previous one with `params` as they
-    are at that step, so a caller that updates `params` in place between
-    steps sees its updates in the states of later gates.
+    circuit's compiled plan: each constant step is one fused matrix, and the
+    free gates of a layer are visited one at a time. All S^dag H S come from
+    one backward pass at the first step, tracking S^T applied to the
+    identity, with `params` as they are then. The state before each gate is
+    advanced lazily from the previous one with `params` as they are at that
+    step, so a caller that updates `params` in place between steps sees its
+    updates in the states of later gates.
     """
     n = circuit.n_qubits
-    ops = [op for step in compile_plan(circuit).steps
+    ops = [op for step in circuit.plan.steps
            for op in ((step,) if isinstance(step, ConstantStep) else step.gates)]
     free = [k for k, op in enumerate(ops) if isinstance(op, Gate)]
     st = np.eye(1 << n, dtype=complex)

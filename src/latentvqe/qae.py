@@ -16,7 +16,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, build_ansatz, qae_encoder
 from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .circuit import (
-    Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, concat,
+    Circuit, apply_gates, bind_constants, circuit_from_dict, circuit_to_dict, concat,
     inverse, remap_qubits, simulate,
 )
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
@@ -81,7 +81,7 @@ def _batched_trash_cost_fn(encoder: Circuit, states):
     proj = pauli_sum_matrix(trash_projector(encoder.n_qubits), encoder.n_qubits)
 
     def cost(params):
-        amp = apply_circuit(cols, encoder, np.asarray(params, dtype=float))
+        amp = apply_gates(cols, encoder.gates, np.asarray(params, dtype=float), encoder.n_qubits)
         return 1.0 - float(np.mean(batched_energies(amp, proj)))
 
     def grad(params):

@@ -1,13 +1,14 @@
-"""Compiled evaluation plans against the gate-by-gate reference `apply_circuit`."""
+"""Compiled evaluation plans (`apply_circuit`) against the gate-by-gate reference `apply_gates`."""
 import numpy as np
 import pytest
 
 from latentvqe.ansatz import efficient_su2, qae_encoder, uccsd_h2
 from latentvqe.circuit import (
-    Circuit, ConstantStep, Gate, LayerStep, Param, apply_circuit, compile_plan, simulate,
-    swap_test_circuit,
+    Circuit, ConstantStep, Gate, LayerStep, Param, apply_circuit, apply_gates, compile_plan,
+    simulate, swap_test_circuit,
 )
 from latentvqe.hamiltonian import hamiltonian_for_distance
+from latentvqe import optimize
 from latentvqe.optimize import energy_fn
 from latentvqe.qae import DEFAULT_TRAINING_BOND_LENGTHS, QaeModel, latent_vqe_circuit
 from latentvqe.statevector import StateVector, expectation, zero_state
@@ -36,14 +37,14 @@ CIRCUITS = {
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_plan_matches_reference(name):
     circuit = CIRCUITS[name]()
-    plan = compile_plan(circuit)
     rng = np.random.default_rng(7)
     for _ in range(5):
         params = rng.uniform(-2 * np.pi, 2 * np.pi, circuit.n_params)
         for amp in (random_amplitudes(rng, circuit.n_qubits),
                     random_amplitudes(rng, circuit.n_qubits, 3)):
-            np.testing.assert_allclose(plan.apply(amp, params),
-                                       apply_circuit(amp, circuit, params), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                apply_circuit(amp, circuit, params),
+                apply_gates(amp, circuit.gates, params, circuit.n_qubits), rtol=0, atol=1e-12)
 
 
 def test_plan_shapes():
@@ -51,19 +52,17 @@ def test_plan_shapes():
     steps = compile_plan(uccsd_h2()).steps
     assert [isinstance(s, ConstantStep) for s in steps] == [True, False] * 12 + [True]
     assert all(s.kind == "phase" and len(s.gates) == 1 for s in steps[1::2])
-    # SU2: an RY layer and an RZ layer per block, CNOT blocks as permutations
+    # SU2: an RY layer and an RZ layer per block, each CNOT block as one step
     steps = compile_plan(efficient_su2(4, 3)).steps
-    assert [getattr(s, "kind", "perm") for s in steps] == (
-        ["RY", "phase", "perm"] * 3 + ["RY", "phase"])
-    assert all(s.perm is not None for s in steps if isinstance(s, ConstantStep))
+    assert [getattr(s, "kind", "constant") for s in steps] == (
+        ["RY", "phase", "constant"] * 3 + ["RY", "phase"])
     # latent: U3 layer, CNOT, U3 layer, then CNOT plus the frozen decoder as one matrix
     steps = compile_plan(latent_circuit()).steps
     assert [type(s) for s in steps] == [LayerStep, ConstantStep, LayerStep, ConstantStep]
-    assert steps[1].perm is not None and steps[3].perm is None
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_cnot_x_runs_are_exact_permutations(seed):
+def test_cnot_x_runs_are_exact(seed):
     rng = np.random.default_rng(seed)
     n = 4
     gates = []
@@ -75,9 +74,8 @@ def test_cnot_x_runs_are_exact_permutations(seed):
             gates.append(Gate("CNOT", (int(a), int(b))))
     circuit = Circuit(n, tuple(gates), 0)
     (step,) = compile_plan(circuit).steps
-    assert step.perm is not None
     for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 2)):
-        assert np.array_equal(step.apply(amp), apply_circuit(amp, circuit, np.zeros(0)))
+        assert np.array_equal(step.apply(amp), apply_gates(amp, gates, np.zeros(0), n))
         # the transpose undoes the run, as the backward walk needs
         assert np.array_equal(step.apply_transpose(step.apply(amp)), amp)
 
@@ -88,7 +86,7 @@ def test_non_finite_parameters_rejected(bad):
         params = np.zeros(circuit.n_params)
         params[-1] = bad
         with pytest.raises(ValueError, match="finite"):
-            compile_plan(circuit).apply(zero_state(4).amplitudes, params)
+            apply_circuit(zero_state(4).amplitudes, circuit, params)
         h = hamiltonian_for_distance(0.735)
         with pytest.raises(ValueError, match="finite"):
             energy_fn(circuit, h, zero_state(4))(params)
@@ -137,14 +135,33 @@ def test_offsets_and_coefficients_enter_every_layer_kind():
     rng = np.random.default_rng(11)
     amp = random_amplitudes(rng, 3)
     params = np.array([0.8, -1.3])
-    np.testing.assert_allclose(compile_plan(circuit).apply(amp, params),
-                               apply_circuit(amp, circuit, params), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply_circuit(amp, circuit, params),
+                               apply_gates(amp, gates, params, 3), rtol=0, atol=1e-12)
 
 
 def test_plan_is_compiled_once_per_circuit():
-    circuit = latent_circuit(seed=4)
-    compile_plan(circuit)
-    hits = compile_plan.cache_info().hits
+    # energy_fn rebuilt for equal circuits, as nn eval does per bond length, compiles nothing new
+    x = np.zeros(latent_circuit().n_params)
+    energy_fn(latent_circuit(seed=4), hamiltonian_for_distance(0.5), zero_state(4))(x)
+    misses = compile_plan.cache_info().misses
     for r in (0.6, 0.9, 1.4):
-        energy_fn(circuit, hamiltonian_for_distance(r), zero_state(4))
-    assert compile_plan.cache_info().hits == hits + 3
+        energy_fn(latent_circuit(seed=4), hamiltonian_for_distance(r), zero_state(4))(x)
+    assert compile_plan.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("name", ["uccsd", "su2", "latent"])
+def test_energy_fn_runs_apply_circuit_once_per_evaluation(name, monkeypatch):
+    # the gates between the folded constant steps go through apply_circuit, so
+    # a wrapper on optimize.apply_circuit sees every energy evaluation
+    circuit = CIRCUITS[name]()
+    seen = []
+    def counting(amp, inner, params):
+        seen.append(len(inner.gates))
+        return apply_circuit(amp, inner, params)
+    monkeypatch.setattr(optimize, "apply_circuit", counting)
+    cost = energy_fn(circuit, hamiltonian_for_distance(0.735), zero_state(4))
+    for x in np.random.default_rng(1).uniform(-np.pi, np.pi, (3, circuit.n_params)):
+        cost(x)
+    steps = compile_plan(circuit).steps
+    folded = sum(len(s.gates) for s in (steps[0], steps[-1]) if isinstance(s, ConstantStep))
+    assert seen == [len(circuit.gates) - folded] * 3
