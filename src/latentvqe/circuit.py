@@ -203,6 +203,10 @@ class ConstantStep:
     def apply_transpose(self, amp: np.ndarray) -> np.ndarray:
         return self.matrix.T @ amp
 
+    def backward(self, lam: np.ndarray, pre, angles, dangles) -> np.ndarray:
+        """M^dag lam; the step has no free angle to differentiate."""
+        return self.matrix.conj().T @ lam
+
 
 class LayerStep:
     """Free gates of one kind on distinct qubits, applied together.
@@ -231,24 +235,70 @@ class LayerStep:
         others = sum(1 << q for q in range(n) if q not in qubits)
         self.mask = ((idx[:, None] ^ idx[None, :]) & others) == 0 if others else None
 
+    def _rotations(self, a: np.ndarray):
+        """cos(t/2), sin(t/2) and the U3 phases (1 for RY) of each gate.
+
+        Gate g's entries 00, 01, 10, 11 are phases[g] * (c, -s, s, c)[g]; for U3
+        that is c, -e^{i lam} s, e^{i phi} s, e^{i(phi + lam)} c.
+        """
+        phases = 1.0
+        if self.kind == "U3":
+            a = a.reshape(-1, 3)
+            phases = np.exp(1j * (a[:, 1:] @ _U3_PHASES))
+            a = a[:, 0]
+        return np.cos(0.5 * a), np.sin(0.5 * a), phases
+
+    def _factors(self, entries: np.ndarray) -> np.ndarray:
+        """Gate g's 2x2 entry (bit_q(i), bit_q(j)) at [g, i, j]."""
+        return entries.reshape(-1)[self.index]
+
+    def _masked(self, kron: np.ndarray) -> np.ndarray:
+        return kron if self.mask is None else kron * self.mask
+
     def apply(self, amp: np.ndarray, angles: np.ndarray) -> np.ndarray:
         a = angles[self.lo:self.hi]
         if self.kind == "phase":
             phase = np.exp(1j * (self.weights @ a))
             return (phase[:, None] if amp.ndim > 1 else phase) * amp
+        c, s, phases = self._rotations(a)
+        entries = np.stack([c, -s, s, c], axis=1) * phases
+        return self._masked(self._factors(entries).prod(axis=0)) @ amp
+
+    def backward(self, lam: np.ndarray, pre: np.ndarray, angles, dangles) -> np.ndarray:
+        """One adjoint step on (2^n, batch) stacks: return U^dag lam.
+
+        `pre` is the state before the layer and `lam` the adjoint state after
+        it. For each angle a of the layer, dangles[k] gets
+        Re sum_b lam_b^dag (dU/da) pre_b. A rotation layer contracts
+        C = conj(lam) pre^T with the product of the other gates' factors into a
+        2x2 environment per gate, so every angle of the layer takes one
+        Re <env, dU/da> at once.
+        """
+        a = angles[self.lo:self.hi]
+        if self.kind == "phase":
+            phase = np.exp(1j * (self.weights @ a))
+            # d phase / d a_k = i W[:, k] phase, and Re(i z) = -Im z
+            overlap = phase * np.einsum("ib,ib->i", lam.conj(), pre)
+            dangles[self.lo:self.hi] = -(self.weights.T @ overlap).imag
+            return phase.conj()[:, None] * lam
+        c, s, phases = self._rotations(a)
+        entries = np.stack([c, -s, s, c], axis=1) * phases
+        factors = self._factors(entries)
+        ones = np.ones_like(factors[:1])
+        before = np.concatenate([ones, np.cumprod(factors[:-1], axis=0)])
+        after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], ones])
+        weighted = self._masked(before * after * (lam.conj() @ pre.T)).ravel()
+        index, size = self.index.ravel(), entries.size
+        env = (np.bincount(index, weighted.real, size)
+               + 1j * np.bincount(index, weighted.imag, size)).reshape(entries.shape)
+        dtheta = 0.5 * np.stack([-s, -c, c, -s], axis=1) * phases
+        grads = np.real(np.sum(env * dtheta, axis=1))[:, None]
         if self.kind == "U3":
-            a = a.reshape(-1, 3)
-            # entries 00, 01, 10, 11 of U3: c, -e^{i lam} s, e^{i phi} s, e^{i(phi + lam)} c
-            phases = np.exp(1j * (a[:, 1:] @ _U3_PHASES))
-            a = a[:, 0]
-        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
-        entries = np.stack([c, -s, s, c], axis=1)
-        if self.kind == "U3":
-            entries = entries * phases
-        kron = entries.reshape(-1)[self.index].prod(axis=0)
-        if self.mask is not None:
-            kron = kron * self.mask
-        return kron @ amp
+            # d/dphi and d/dlambda multiply the entries by i where _U3_PHASES has a 1
+            grads = np.hstack([grads, -((env * entries) @ _U3_PHASES.T).imag])
+        dangles[self.lo:self.hi] = grads.ravel()
+        kron = self._masked(before[-1] * factors[-1])
+        return kron.conj().T @ lam
 
 
 class Plan:
@@ -256,8 +306,8 @@ class Plan:
 
     Each maximal run of gates without a free angle is one ConstantStep; each
     run of free gates of one kind (RZ and U1, RY, or U3) on distinct qubits is
-    one LayerStep. `apply` evaluates every free angle, coeff * params[slot] +
-    offset, at once.
+    one LayerStep. `angles` evaluates every free angle, coeff * params[slot] +
+    offset, at once, for `apply` and for the adjoint `gradient`.
     """
 
     def __init__(self, circuit: Circuit):
@@ -280,20 +330,47 @@ class Plan:
                 continue
             steps.append(LayerStep(cls, gates, len(table), n))
             table.extend(p for g in gates for p in g.params)
-        self.steps = tuple(steps)
+        self.steps, self.n_params = tuple(steps), circuit.n_params
         # every free gate's angle positions in step order; a constant one reads 0 * params[0]
         self._slots = np.array([p.slot or 0 for p in table], dtype=int)
         self._coeffs = np.array([p.coeff if p.slot is not None else 0.0 for p in table])
         self._offsets = np.array([p.offset for p in table])
 
-    def apply(self, amp: np.ndarray, params) -> np.ndarray:
-        """Run every step on a vector or (2^n, batch) stack."""
+    def angles(self, params) -> np.ndarray:
+        """Every free gate's angles in step order; raises ValueError unless all are finite."""
         angles = self._coeffs * np.asarray(params, dtype=float)[self._slots] + self._offsets
         if not np.all(np.isfinite(angles)):
             raise ValueError("gate angles must be finite")
+        return angles
+
+    def apply(self, amp: np.ndarray, params) -> np.ndarray:
+        """Run every step on a vector or (2^n, batch) stack."""
+        angles = self.angles(params)
         for step in self.steps:
             amp = step.apply(amp, angles)
         return amp
+
+    def gradient(self, amp: np.ndarray, params, observable: np.ndarray) -> np.ndarray:
+        """d/dparams of sum_b <psi_b|O|psi_b>, psi = this plan run on the (2^n, batch) stack amp.
+
+        Adjoint differentiation: the forward pass keeps the state before each
+        step; the backward pass starts from lam = O psi and maps it back
+        through each step (lam <- U^dag lam), which adds
+        2 Re lam^dag (dU/da) pre for every angle a of the step. Each angle then
+        reaches its slot with its coefficient (chain rule), so shared slots,
+        coefficients and offsets need no special case.
+        """
+        angles = self.angles(params)
+        states = [amp]
+        for step in self.steps:
+            states.append(step.apply(states[-1], angles))
+        lam = observable @ states.pop()
+        dangles = np.zeros_like(angles)
+        for step, pre in zip(reversed(self.steps), reversed(states)):
+            lam = step.backward(lam, pre, angles, dangles)
+        grad = np.zeros(self.n_params)
+        np.add.at(grad, self._slots, 2.0 * self._coeffs * dangles)
+        return grad
 
 
 @lru_cache(maxsize=128)

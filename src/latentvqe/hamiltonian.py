@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
+from .artifacts import SCHEMA_VERSION, require_schema
 from .statevector import PauliString, StateVector, pauli_sum_matrix
 
 ANGSTROM_TO_BOHR = 1.8897259886
@@ -371,10 +371,6 @@ def hamiltonian_from_dict(doc: dict) -> QubitHamiltonian:
     if any(t.n_qubits != n_qubits for t in terms):
         raise ValueError(f"a Pauli string does not act on n_qubits = {n_qubits} qubits")
     return QubitHamiltonian(n_qubits, terms, float(doc["bond_length_angstrom"]))
-
-
-def hamiltonian_to_json(h: QubitHamiltonian) -> str:
-    return canonical_json(hamiltonian_to_dict(h))
 
 
 def hamiltonian_from_json(text: str) -> QubitHamiltonian:

@@ -1,12 +1,11 @@
 """Classical optimizers and the two trainability procedures.
 
-Contains the bounded Nelder-Mead simplex, Adam over parameter-shift
-gradients, the staged per-gate optimization (U1-restricted phase, then the
-remaining two U3 angles), and the bond-length sweep whose per-step search
-window is centered on the linear extrapolation of the previous two points;
-on the first step out of the anchor, where there is only one previous
-point, the window is centered on a Newton step from the anchor angles
-(`first_step_delta`).
+Contains the bounded Nelder-Mead simplex, Adam over adjoint gradients, the
+staged per-gate optimization (U1-restricted phase, then the remaining two U3
+angles), and the bond-length sweep whose per-step search window is centered
+on the linear extrapolation of the previous two points; on the first step
+out of the anchor, where there is only one previous point, the window is
+centered on a Newton step from the anchor angles (`first_step_delta`).
 """
 from __future__ import annotations
 
@@ -18,9 +17,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .artifacts import SCHEMA_VERSION, canonical_json
-from .circuit import (
-    _MATRIX_FNS, Circuit, ConstantStep, Gate, apply_circuit, gate_matrix,
-)
+from .circuit import Circuit, ConstantStep, Gate, apply_circuit, gate_matrix
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
 from .statevector import StateVector, _apply_1q, pauli_sum_matrix, zero_state
 
@@ -176,7 +173,7 @@ def minimize(cost, initial, bounds=None, config: OptimizerConfig | None = None) 
     return {"params": verts[best], "value": values[best], "evaluations": evals}
 
 
-# --- parameter-shift gradients ----------------------------------------------
+# --- gradients and the per-gate walk ----------------------------------------
 
 def batched_energies(amp_cols: np.ndarray, hmat: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ib,ib->b", amp_cols.conj(), hmat @ amp_cols))
@@ -218,40 +215,25 @@ def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
 
 
 def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> np.ndarray:
-    """Gradient of column-averaged energy; columns of amp0_cols are input states.
+    """Gradient of the column-averaged energy; columns of amp0_cols are input states.
 
-    Every free angle a of U3, U1, RY and RZ enters its gate through one
-    factor exp(-i a P/2) with P a Pauli, up to a global phase that
-    expectation values ignore (U3(theta, phi, lam) = e^{i(phi+lam)/2}
-    RZ(phi) RY(theta) RZ(lam), U1(lam) = e^{i lam/2} RZ(lam)), so
-    dE/da = 1/2 [E(a + pi/2) - E(a - pi/2)] holds exactly on the circuit's
-    own gates. Each shifted pair costs one single-gate application to the
-    cached state before the gate and one quadratic form with the folded
-    observable S^dag H S of the gates after it.
+    Computed by adjoint differentiation on the circuit's compiled plan
+    (`Plan.gradient`): one forward and one backward pass, whatever the
+    number of angles. In exact arithmetic this is the parameter-shift
+    gradient: every free angle a of U3, U1, RY and RZ enters its gate through
+    one factor exp(-i a P/2) with P a Pauli, up to a global phase, so
+    dE/da = 1/2 [E(a + pi/2) - E(a - pi/2)]. Non-finite angles raise
+    ValueError.
     """
-    params = np.asarray(params, dtype=float)
-    n = circuit.n_qubits
-    grad = np.zeros(circuit.n_params)
-    for gate, pre, kmat in _free_gate_walk(circuit, hmat, params, amp0_cols):
-        angles = [p.value(params) for p in gate.params]
-        for k, p in enumerate(gate.params):
-            if p.slot is None:
-                continue
-            e = []
-            for shift in (0.5 * math.pi, -0.5 * math.pi):
-                shifted = angles.copy()
-                shifted[k] += shift
-                psi = _apply_1q(pre, _MATRIX_FNS[gate.kind](*shifted), gate.targets[0], n)
-                e.append(batched_energies(psi, kmat))
-            grad[p.slot] += p.coeff * 0.5 * float(np.mean(e[0] - e[1]))
-    return grad
+    return circuit.plan.gradient(amp0_cols, params, hmat) / amp0_cols.shape[1]
 
 
 def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_state: StateVector):
-    """Parameter-shift gradient of the energy from `initial_state`.
+    """Gradient of the energy from `initial_state` (see `batched_shift_gradient`).
 
     A slot read by several angle positions, on one gate or on several,
-    accumulates coeff * 1/2 [E(angle + pi/2) - E(angle - pi/2)] per position.
+    accumulates coeff * dE/d(angle) per position: the sum of the two-term
+    rules coeff * 1/2 [E(angle + pi/2) - E(angle - pi/2)].
     """
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
     amp0 = initial_state.amplitudes.reshape(-1, 1)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzSpec, build_ansatz, qae_encoder
-from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
+from .artifacts import SCHEMA_VERSION, require_schema
 from .circuit import (
-    Circuit, apply_gates, bind_constants, circuit_from_dict, circuit_to_dict, concat,
+    Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, concat,
     inverse, remap_qubits, simulate,
 )
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
@@ -76,12 +76,12 @@ def trash_cost(encoder: Circuit, encoder_params, training_states) -> float:
 
 
 def _batched_trash_cost_fn(encoder: Circuit, states):
-    """Fast training path: all states as columns, projector as a dense matrix."""
+    """Training cost and gradient: all states as columns, projector as a dense matrix."""
     cols = np.stack([s.amplitudes for s in states], axis=1)
     proj = pauli_sum_matrix(trash_projector(encoder.n_qubits), encoder.n_qubits)
 
     def cost(params):
-        amp = apply_gates(cols, encoder.gates, np.asarray(params, dtype=float), encoder.n_qubits)
+        amp = apply_circuit(cols, encoder, params)
         return 1.0 - float(np.mean(batched_energies(amp, proj)))
 
     def grad(params):
@@ -206,10 +206,6 @@ def qae_from_dict(doc: dict) -> QaeModel:
         achieved_trash_infidelity=float(doc["achieved_trash_infidelity"]),
         training_bond_lengths=tuple(float(r) for r in doc["training_bond_lengths"]),
     )
-
-
-def qae_to_json(model: QaeModel) -> str:
-    return canonical_json(qae_to_dict(model))
 
 
 def qae_from_json(text: str) -> QaeModel:

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
     ANGSTROM_TO_BOHR, JacobiConvergenceError, QubitHamiltonian, build_qubit_hamiltonian,
     dense_matrix, exact_ground_energy, hamiltonian_for_distance, hamiltonian_from_json,
-    hamiltonian_to_json, hartree_fock_state, jacobi_eigh, sto3g_integrals,
+    hamiltonian_to_dict, hartree_fock_state, jacobi_eigh, sto3g_integrals,
 )
 from latentvqe.statevector import PauliString, StateVector, expectation
 
@@ -155,12 +156,13 @@ class TestJacobi:
 class TestSerialization:
     def test_round_trip(self):
         h = hamiltonian_for_distance(0.735)
-        back = hamiltonian_from_json(hamiltonian_to_json(h))
+        text = canonical_json(hamiltonian_to_dict(h))
+        back = hamiltonian_from_json(text)
         assert back == h
-        assert hamiltonian_to_json(back) == hamiltonian_to_json(h)
+        assert canonical_json(hamiltonian_to_dict(back)) == text
 
     def test_schema_mismatch_rejected(self):
-        doc = json.loads(hamiltonian_to_json(hamiltonian_for_distance(0.9)))
+        doc = hamiltonian_to_dict(hamiltonian_for_distance(0.9))
         doc["schema_version"] = "other/1"
         with pytest.raises(ValueError, match="schema"):
             hamiltonian_from_json(json.dumps(doc))

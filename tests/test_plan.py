@@ -9,8 +9,11 @@ from latentvqe.circuit import (
 )
 from latentvqe.hamiltonian import hamiltonian_for_distance
 from latentvqe import optimize
-from latentvqe.optimize import energy_fn
-from latentvqe.qae import DEFAULT_TRAINING_BOND_LENGTHS, QaeModel, latent_vqe_circuit
+from latentvqe.optimize import batched_shift_gradient, energy_fn, parameter_shift_gradient
+from latentvqe.qae import (
+    DEFAULT_TRAINING_BOND_LENGTHS, QaeModel, _batched_trash_cost_fn, latent_vqe_circuit,
+    training_states_for,
+)
 from latentvqe.statevector import StateVector, expectation, zero_state
 
 
@@ -90,6 +93,8 @@ def test_non_finite_parameters_rejected(bad):
         h = hamiltonian_for_distance(0.735)
         with pytest.raises(ValueError, match="finite"):
             energy_fn(circuit, h, zero_state(4))(params)
+        with pytest.raises(ValueError, match="finite"):
+            parameter_shift_gradient(circuit, h, params, zero_state(4))
 
 
 @pytest.mark.parametrize("name", ["uccsd", "su2", "latent"])
@@ -137,6 +142,48 @@ def test_offsets_and_coefficients_enter_every_layer_kind():
     params = np.array([0.8, -1.3])
     np.testing.assert_allclose(apply_circuit(amp, circuit, params),
                                apply_gates(amp, gates, params, 3), rtol=0, atol=1e-12)
+    # the adjoint gradient through the same layers, the U3 layer being partial (masked)
+    hmat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    hmat = hmat + hmat.conj().T
+    cols = random_amplitudes(rng, 3, 2)
+    def cost(x):
+        out = apply_gates(cols, gates, x, 3)
+        return np.mean(np.real(np.einsum("ib,ib->b", out.conj(), hmat @ out)))
+    h = 1e-5
+    fd = [(cost(params + h * e) - cost(params - h * e)) / (2 * h) for e in np.eye(2)]
+    np.testing.assert_allclose(batched_shift_gradient(circuit, hmat, params, cols), fd,
+                               rtol=0, atol=1e-7)
+
+
+def two_term_rule(cost, params):
+    """[E(x + pi/2 e_k) - E(x - pi/2 e_k)] / 2 for each slot k."""
+    return np.array([(cost(params + e) - cost(params - e)) / 2
+                     for e in 0.5 * np.pi * np.eye(params.size)])
+
+
+@pytest.mark.parametrize("name", ["su2", "latent", "qae_encoder"])
+def test_gradient_matches_two_term_rule(name):
+    # every slot enters one angle with coefficient +-1, so the two-term rule
+    # is the exact derivative and the gradient must agree to rounding
+    circuit = CIRCUITS[name]()
+    slots = [p.slot for g in circuit.gates for p in g.params if p.slot is not None]
+    assert sorted(slots) == list(range(circuit.n_params))
+    assert all(abs(p.coeff) == 1.0 for g in circuit.gates for p in g.params if p.slot is not None)
+    rng = np.random.default_rng(13)
+    if name == "qae_encoder":
+        # the trash cost on the six training states, as qae train evaluates it
+        cost, grad = _batched_trash_cost_fn(
+            circuit, training_states_for(DEFAULT_TRAINING_BOND_LENGTHS))
+        problems = [(cost, grad)] * 3
+    else:
+        problems = []
+        for r in (0.5, 0.735, 2.0):
+            h = hamiltonian_for_distance(r)
+            problems.append((energy_fn(circuit, h, zero_state(4)), lambda x, h=h:
+                             parameter_shift_gradient(circuit, h, x, zero_state(4))))
+    for cost, grad in problems:
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, circuit.n_params)
+        np.testing.assert_allclose(grad(params), two_term_rule(cost, params), rtol=0, atol=1e-12)
 
 
 def test_plan_is_compiled_once_per_circuit():

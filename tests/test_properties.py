@@ -11,6 +11,7 @@ from latentvqe.circuit import (
     circuit_to_dict, inverse, simulate,
 )
 from latentvqe.hamiltonian import _string_product
+from latentvqe.optimize import batched_shift_gradient
 from latentvqe.statevector import PauliString, StateVector, pauli_sum_matrix
 
 N_QUBITS = 3
@@ -18,17 +19,17 @@ finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def params_(draw):
+def params_(draw, coeffs=finite):
     """Either a constant angle or coeff * v[slot] + offset (slot drawn from 0..5)."""
     if draw(st.booleans()):
         return Param.const(draw(finite))
-    coeff = draw(st.sampled_from([1.0, -1.0, 2.0])) if draw(st.booleans()) else draw(finite)
+    coeff = draw(st.sampled_from([1.0, -1.0, 2.0])) if draw(st.booleans()) else draw(coeffs)
     offset = 0.0 if draw(st.booleans()) else draw(finite)
     return Param(draw(st.integers(0, 5)), coeff, offset)
 
 
 @st.composite
-def circuits(draw, max_gates=12):
+def circuits(draw, max_gates=12, coeffs=finite):
     gates = []
     for _ in range(draw(st.integers(1, max_gates))):
         kind = draw(st.sampled_from(sorted(PARAM_ARITY)))
@@ -37,7 +38,8 @@ def circuits(draw, max_gates=12):
             gates.append(Gate(kind, (a, b)))
         else:
             q = draw(st.integers(0, N_QUBITS - 1))
-            gates.append(Gate(kind, (q,), tuple(draw(params_()) for _ in range(PARAM_ARITY[kind]))))
+            angles = tuple(draw(params_(coeffs)) for _ in range(PARAM_ARITY[kind]))
+            gates.append(Gate(kind, (q,), angles))
     # Renumber the slots that occur to 0..m-1 so that every slot is referenced.
     used = sorted({p.slot for g in gates for p in g.params if p.slot is not None})
     dense = {s: k for k, s in enumerate(used)}
@@ -79,6 +81,28 @@ def test_compiled_plan_matches_gate_by_gate_reference(circuit, seed):
     np.testing.assert_allclose(apply_circuit(amp, circuit, params),
                                apply_gates(amp, circuit.gates, params, circuit.n_qubits),
                                rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_gates=20, coeffs=st.floats(-2.0, 2.0)), st.integers(0, 2**32 - 1))
+def test_gradient_matches_central_differences(circuit, seed):
+    # partial U3 layers (the masked Kronecker case), shared slots, coefficients
+    # and offsets all occur; the reference energy runs gate by gate
+    rng = np.random.default_rng(seed)
+    dim = 1 << N_QUBITS
+    hmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    hmat = (hmat + hmat.conj().T) / 4
+    cols = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    cols /= np.linalg.norm(cols, axis=0)
+    params = rng.uniform(-np.pi, np.pi, circuit.n_params)
+    def energy(x):
+        out = apply_gates(cols, circuit.gates, x, N_QUBITS)
+        return np.mean(np.real(np.einsum("ib,ib->b", out.conj(), hmat @ out)))
+    h = 1e-5
+    fd = [(energy(params + h * e) - energy(params - h * e)) / (2 * h)
+          for e in np.eye(circuit.n_params)]
+    np.testing.assert_allclose(batched_shift_gradient(circuit, hmat, params, cols),
+                               np.reshape(fd, circuit.n_params), rtol=0, atol=1e-7)
 
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=3, max_size=3)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from latentvqe.ansatz import qae_encoder, strongly_entangling
+from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import Circuit, resource_counts, simulate
 from latentvqe.hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from latentvqe.optimize import OptimizerConfig, adam_minimize
 from latentvqe.qae import (
     QaeModel, QaeTrainingError, _batched_trash_cost_fn, decoder_circuit,
-    latent_vqe_circuit, qae_from_json, qae_to_json, reconstruct, train_qae,
+    latent_vqe_circuit, qae_from_json, qae_to_dict, reconstruct, train_qae,
     training_states_for, trash_cost,
 )
 from latentvqe.statevector import StateVector, expectation, overlap, zero_state
@@ -131,9 +132,9 @@ class TestLatentVqeCircuit:
 
 class TestSerialization:
     def test_round_trip(self, trained_model):
-        text = qae_to_json(trained_model)
+        text = canonical_json(qae_to_dict(trained_model))
         back = qae_from_json(text)
-        assert qae_to_json(back) == text
+        assert canonical_json(qae_to_dict(back)) == text
         assert np.array_equal(back.encoder_params, trained_model.encoder_params)
         circ = latent_vqe_circuit(back, strongly_entangling(2, 1))
         assert circ.n_params == 12
@@ -141,7 +142,7 @@ class TestSerialization:
     def test_schema_mismatch(self, trained_model):
         import json
 
-        doc = json.loads(qae_to_json(trained_model))
+        doc = qae_to_dict(trained_model)
         doc["schema_version"] = "nope/9"
         with pytest.raises(ValueError, match="schema"):
             qae_from_json(json.dumps(doc))
