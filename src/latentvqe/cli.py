@@ -150,7 +150,7 @@ def _load_ham_points(path: Path):
 
 # --- vqe run -----------------------------------------------------------------
 
-_STAGED = OptimizerConfig(tolerance=1e-11, max_iterations=400)
+_STAGED = OptimizerConfig(tolerance=1e-11)
 
 
 def _best_staged(circuit, hamiltonian, rng, restarts: int) -> dict:

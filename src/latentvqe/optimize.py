@@ -1,17 +1,17 @@
 """Classical optimizers and the two trainability procedures.
 
-Contains the bounded Nelder-Mead simplex, Adam over adjoint gradients, the
-staged per-gate optimization (U1-restricted phase, then the remaining two U3
-angles), and the bond-length sweep whose per-step search window is centered
-on the linear extrapolation of the previous two points; on the first step
-out of the anchor, where there is only one previous point, the window is
-centered on a Newton step from the anchor angles (`first_step_delta`).
+Contains the Nelder-Mead simplex, Adam over adjoint gradients, the staged
+per-gate optimization (closed-form solves of the U1-restricted phase, then of
+the remaining two U3 angles), and the bond-length sweep whose per-step search
+window is centered on the linear extrapolation of the previous two points; on
+the first step out of the anchor, where there is only one previous point, the
+window is centered on a Newton step from the anchor angles (`first_step_delta`).
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,32 +84,22 @@ def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
     return cost
 
 
-# --- Nelder-Mead with clipped bounds ----------------------------------------
+# --- Nelder-Mead -------------------------------------------------------------
 
-def minimize(cost, initial, bounds=None, config: OptimizerConfig | None = None) -> dict:
+def minimize(cost, initial, config: OptimizerConfig | None = None) -> dict:
     """Nelder-Mead simplex (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
 
-    Bounds are enforced by clipping every proposed vertex. Terminates when the
-    iteration budget is exhausted, or when both the simplex value spread drops
-    below config.tolerance and every vertex lies within sqrt(config.tolerance)
-    of the best one in every coordinate (SciPy's fatol and xatol test). The
-    size test keeps a simplex that straddles a minimum with equal values from
-    stopping: on a quadratic with unit curvature a value spread of tolerance
-    corresponds to a distance of sqrt(tolerance). Returns {"params", "value",
-    "evaluations"}.
+    Terminates when the iteration budget is exhausted, or when both the
+    simplex value spread drops below config.tolerance and every vertex lies
+    within sqrt(config.tolerance) of the best one in every coordinate
+    (SciPy's fatol and xatol test). The size test keeps a simplex that
+    straddles a minimum with equal values from stopping: on a quadratic with
+    unit curvature a value spread of tolerance corresponds to a distance of
+    sqrt(tolerance). Returns {"params", "value", "evaluations"}.
     """
     config = config or OptimizerConfig()
     x0 = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
     n = x0.size
-    if bounds is not None:
-        lo = np.asarray([b[0] for b in bounds], dtype=float)
-        hi = np.asarray([b[1] for b in bounds], dtype=float)
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
-        clip = lambda x: np.clip(x, lo, hi)
-    else:
-        clip = lambda x: x
-    x0 = clip(x0)
     xtol = math.sqrt(config.tolerance)
 
     evals = 0
@@ -121,19 +111,7 @@ def minimize(cost, initial, bounds=None, config: OptimizerConfig | None = None) 
             raise NumericalError("non-finite cost value encountered")
         return v
 
-    verts = [x0]
-    for i in range(n):
-        step = 0.1
-        if bounds is not None and hi[i] > lo[i]:
-            step = min(step, 0.4 * (hi[i] - lo[i]))
-        cand = x0.copy()
-        cand[i] += step
-        cand = clip(cand)
-        if np.array_equal(cand, x0):
-            cand = x0.copy()
-            cand[i] -= step
-            cand = clip(cand)
-        verts.append(cand)
+    verts = [x0] + [x0 + 0.1 * e for e in np.eye(n)]
     values = [f(v) for v in verts]
 
     for _ in range(config.max_iterations):
@@ -144,29 +122,29 @@ def minimize(cost, initial, bounds=None, config: OptimizerConfig | None = None) 
                 and np.max(np.abs(np.asarray(verts) - verts[0])) <= xtol):
             break
         centroid = np.mean(verts[:-1], axis=0)
-        xr = clip(centroid + (centroid - verts[-1]))
+        xr = centroid + (centroid - verts[-1])
         fr = f(xr)
         if fr < values[0]:
-            xe = clip(centroid + 2.0 * (centroid - verts[-1]))
+            xe = centroid + 2.0 * (centroid - verts[-1])
             fe = f(xe)
             verts[-1], values[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < values[-2]:
             verts[-1], values[-1] = xr, fr
         else:
             if fr < values[-1]:  # outside contraction
-                xc = clip(centroid + 0.5 * (xr - centroid))
+                xc = centroid + 0.5 * (xr - centroid)
                 fc = f(xc)
                 if fc <= fr:
                     verts[-1], values[-1] = xc, fc
                     continue
             else:  # inside contraction
-                xc = clip(centroid + 0.5 * (verts[-1] - centroid))
+                xc = centroid + 0.5 * (verts[-1] - centroid)
                 fc = f(xc)
                 if fc < values[-1]:
                     verts[-1], values[-1] = xc, fc
                     continue
             for k in range(1, n + 1):  # shrink toward the best vertex
-                verts[k] = clip(verts[0] + 0.5 * (verts[k] - verts[0]))
+                verts[k] = verts[0] + 0.5 * (verts[k] - verts[0])
                 values[k] = f(verts[k])
 
     best = int(np.argmin(values))
@@ -274,8 +252,67 @@ def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> d
 
 # --- staged per-gate optimization (U1 restriction, then theta/phi) ----------
 
+_SWEEP_CAP = 30
+_SHIFTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
+# maps energies at _SHIFTS to the coefficients of (1, cos u, sin u)
+_FIT = np.linalg.inv(np.column_stack([np.ones(3), np.cos(_SHIFTS), np.sin(_SHIFTS)]))
+# (theta, phi, lambda) shifts: lambda alone (phase A), the theta x phi grid (phase B)
+_TRIALS = (np.outer(_SHIFTS, [0, 0, 1]),
+           np.array([(t, p, 0) for t in _SHIFTS for p in _SHIFTS]))
+
+
+def _sinusoid(coef, u: float) -> float:
+    return coef[0] + coef[1] * math.cos(u) + coef[2] * math.sin(u)
+
+
+def _sinusoid_argmin(coef, lo: float, hi: float, at: float = 0.0) -> float:
+    """argmin of c + a cos u + b sin u = c + R cos(u - atan2(b, a)) on [lo, hi], lo <= 0 <= hi.
+
+    The minimum atan2(b, a) + pi nearest 0 if the box holds it, else the
+    better endpoint; `at` unless that is lower. coef = (c, a, b).
+    """
+    u = math.remainder(math.atan2(coef[2], coef[1]) + math.pi, 2.0 * math.pi)
+    inside = [x for x in (u, u - math.copysign(2.0 * math.pi, u)) if lo <= x <= hi]
+    best = inside[0] if inside else min((lo, hi), key=lambda x: _sinusoid(coef, x))
+    return best if _sinusoid(coef, best) < _sinusoid(coef, at) else at
+
+
+def _fourier_argmin(coef: np.ndarray, lo, hi) -> tuple[float, float]:
+    """argmin of sum_pq f_p(u) coef[p, q] f_q(v), f = (1, cos, sin), on lo <= (u, v) <= hi.
+
+    Alternating exact 1-D solves until neither coordinate moves, from six
+    starts, since one can end in a local minimum: either coordinate at 0, the
+    other at each of _SHIFTS clipped to the box. (0, 0) unless the best is lower.
+    """
+    fit = lambda u, v: _sinusoid([_sinusoid(r, v) for r in coef.tolist()], u)
+    best = (fit(0.0, 0.0), 0.0, 0.0)
+    for m, lo_, hi_, order in ((coef, lo, hi, 1), (coef.T, lo[::-1], hi[::-1], -1)):
+        rows, cols = m.tolist(), m.T.tolist()
+        for b in np.clip(_SHIFTS, lo_[1], hi_[1]).tolist():
+            a = 0.0
+            for _ in range(100):
+                a_new = _sinusoid_argmin([_sinusoid(r, b) for r in rows], lo_[0], hi_[0], a)
+                b_new = _sinusoid_argmin([_sinusoid(c, a_new) for c in cols], lo_[1], hi_[1], b)
+                if (a_new, b_new) == (a, b):
+                    break
+                a, b = a_new, b_new
+            u, v = (a, b)[::order]
+            best = min(best, (fit(u, v), u, v), key=lambda t: t[0])
+    return best[1:]
+
+
+def _trial_energies(gate: Gate, prefix, kmat, angles: np.ndarray) -> np.ndarray:
+    """psi^dag K psi for psi = U3(row) applied to `prefix`, per row (theta, phi, lambda)."""
+    c, s = np.cos(0.5 * angles[:, 0]), np.sin(0.5 * angles[:, 0])
+    ephi, elam = np.exp(1j * angles[:, 1]), np.exp(1j * angles[:, 2])
+    u = np.stack([c, -elam * s, ephi * s, ephi * elam * c], axis=1).reshape(-1, 2, 2)
+    cols = np.einsum("tij,hjl->hilt", u, prefix.reshape(-1, 2, 1 << gate.targets[0]))
+    return batched_energies(cols.reshape(prefix.size, -1), kmat)
+
+
 def _check_u3_slots(circuit: Circuit) -> None:
-    """Raise unless every free angle sits on an all-free U3 gate that owns its slots alone."""
+    """Raise unless every free angle sits on an all-free U3 gate that owns its three
+    distinct slots alone and reads each with coefficient 1 (offsets are allowed)."""
     owner = {}
     for gi, g in enumerate(circuit.gates):
         slots = [p.slot for p in g.params if p.slot is not None]
@@ -283,9 +320,9 @@ def _check_u3_slots(circuit: Circuit) -> None:
             continue
         if g.kind != "U3":
             raise ValueError("staged optimization expects all free parameters on U3 gates")
-        if len(slots) != 3:
-            raise ValueError(f"staged optimization expects U3 gate {gi} on qubit "
-                             f"{g.targets[0]} to have three free angles, not {len(slots)}")
+        if len(set(slots)) != 3 or any(p.coeff != 1.0 for p in g.params):
+            raise ValueError(f"staged optimization expects U3 gate {gi} on qubit {g.targets[0]} "
+                             "to read three distinct slots, each with coefficient 1")
         if any(owner.setdefault(slot, gi) != gi for slot in slots):
             raise ValueError("staged optimization expects each slot on a single U3 gate")
 
@@ -297,56 +334,49 @@ def staged_gate_optimize(
     config: OptimizerConfig | None = None,
     bounds=None,
 ) -> dict:
-    """Sweep the U3 gates in circuit order, each in two phases.
+    """Sweep the U3 gates in circuit order, each in two closed-form phases.
 
-    Phase A restricts the gate to its Z-rotation angle (theta and phi
-    frozen); phase B frees theta and phi with the Z angle locked. Sweeps
-    repeat until the energy improves by less than config.tolerance
-    (default 1e-9 Hartree) per sweep, at most 10 sweeps.
+    With the other angles fixed, the energy is a cos(lambda - b) + c in the Z
+    angle lambda (Rotosolve) and a 9-coefficient trigonometric polynomial in
+    (theta, phi). Phase A fits the first from lambda + (0, +-2 pi/3), phase B
+    the second from the 3 x 3 grid of these shifts; each takes the fit's
+    minimum on the box, scores it once and keeps it if that energy is <= the
+    current one. Sweeps stop when one gains less than config.tolerance
+    (default 1e-9 Hartree), or after _SWEEP_CAP; config.max_iterations is unused.
 
-    Every trial changes one gate only, so it is scored as psi^dag K psi, where
-    psi is the cached state before the gate with the trial gate applied, and
-    K = S^dag H S folds all later gates S into the observable (recomputed
-    once per sweep, since the gates after the current one have not moved yet).
+    Trials are scored as psi^dag K psi: psi is the cached state before the
+    gate with the trial gate applied, and K = S^dag H S folds the later gates
+    S into the observable (once per sweep, since they have not moved yet).
     """
-    config = config or OptimizerConfig(tolerance=1e-9, max_iterations=300)
+    config = config or OptimizerConfig(tolerance=1e-9)
     n = circuit.n_qubits
     hmat = pauli_sum_matrix(_terms_of(hamiltonian), n)
     amp0 = zero_state(n).amplitudes
-    params = np.asarray(init, dtype=float).copy()
-    if bounds is not None:
-        lo, hi = bounds
-        params = np.clip(params, lo, hi)
+    lo, hi = (-math.inf, math.inf) if bounds is None else bounds
+    params = np.clip(np.asarray(init, dtype=float), lo, hi)
+    lo, hi = np.broadcast_to(lo, params.shape), np.broadcast_to(hi, params.shape)
     _check_u3_slots(circuit)
-    inner = replace(config, tolerance=max(1e-13, config.tolerance * 1e-3))
 
     amp = apply_circuit(amp0, circuit, params)
     energy = float(np.real(np.vdot(amp, hmat @ amp)))
     evaluations = 1
-    sweeps = 0
-    for _ in range(10):
-        sweeps += 1
+    for sweeps in range(1, _SWEEP_CAP + 1):
         sweep_start = energy
         # the walk sees the in-place updates of params below in later prefixes
         for gate, prefix, kmat in _free_gate_walk(circuit, hmat, params, amp0):
-            theta, phi, lam = (p.slot for p in gate.params)
-            for subset in ((lam,), (theta, phi)):
-                subset = list(dict.fromkeys(subset))
-                sub_bounds = None
-                if bounds is not None:
-                    sub_bounds = [(lo[s], hi[s]) for s in subset]
-
-                def subcost(x, subset=subset):
-                    trial = params.copy()
-                    trial[subset] = x
-                    psi = _apply_1q(prefix, gate_matrix(gate, trial), gate.targets[0], n)
-                    return float(np.real(np.vdot(psi, kmat @ psi)))
-
-                res = minimize(subcost, params[subset], bounds=sub_bounds, config=inner)
-                evaluations += res["evaluations"]
-                if res["value"] <= energy:
-                    params[subset] = res["params"]
-                    energy = res["value"]
+            angles = lambda x: np.array([[p.value(x) for p in gate.params]])
+            for phase, trials in zip(([2], [0, 1]), _TRIALS):
+                sub = [gate.params[k].slot for k in phase]
+                energies = _trial_energies(gate, prefix, kmat, angles(params) + trials)
+                fit = _FIT @ energies.reshape(3, -1)
+                box = (lo[sub] - params[sub]).tolist(), (hi[sub] - params[sub]).tolist()
+                trial = params.copy()
+                trial[sub] += (_fourier_argmin(fit @ _FIT.T, *box) if len(sub) == 2 else
+                               _sinusoid_argmin(fit[:, 0].tolist(), box[0][0], box[1][0]))
+                value = _trial_energies(gate, prefix, kmat, angles(trial))[0]
+                evaluations += len(energies) + 1
+                if value <= energy:
+                    params[sub], energy = trial[sub], float(value)
         if sweep_start - energy < config.tolerance:
             break
     return {"params": params, "energy": energy, "evaluations": evaluations, "sweeps": sweeps}
@@ -468,7 +498,7 @@ def constrained_sweep(
     hamiltonians = list(hamiltonians)
     if not 0 <= anchor_index < len(hamiltonians):
         raise ValueError("anchor index outside the grid")
-    config = config or OptimizerConfig(tolerance=1e-9, max_iterations=300)
+    config = config or OptimizerConfig(tolerance=1e-9)
     anchor_params = np.asarray(anchor_params, dtype=float)
 
     oracle = [exact_ground_energy(h)["energy"] for h in hamiltonians]

@@ -78,18 +78,6 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amp)
 
 
-def from_amplitudes(amplitudes: np.ndarray) -> StateVector:
-    """Wrap a raw amplitude array, normalizing and inferring the qubit count."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    n = int(np.log2(amplitudes.size))
-    if 1 << n != amplitudes.size:
-        raise ValueError("amplitude length is not a power of two")
-    norm = np.linalg.norm(amplitudes)
-    if norm < 1e-14:
-        raise ValueError("cannot normalize a zero vector")
-    return StateVector(n, amplitudes / norm)
-
-
 def _check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim) or dim not in (2, 4):
@@ -148,27 +136,24 @@ def _apply_2q(amp: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
     return out
 
 
-def _pauli_masks(ops: str):
-    x_mask = z_mask = 0
-    n_y = 0
-    for k, c in enumerate(ops):
-        if c in "XY":
-            x_mask |= 1 << k
-        if c in "YZ":
-            z_mask |= 1 << k
-        if c == "Y":
-            n_y += 1
-    return x_mask, z_mask, n_y
+def _pauli_action(ops: str, dim: int):
+    """(idx, flipped, phase) with P|idx> = phase[idx] |flipped[idx]> on `dim` amplitudes.
+
+    flipped = idx ^ x and phase = i^{n_Y} (-1)^{|idx & z|}, where x marks the
+    qubits carrying X or Y, and z those carrying Y or Z.
+    """
+    x_mask = sum(1 << k for k, c in enumerate(ops) if c in "XY")
+    z_mask = sum(1 << k for k, c in enumerate(ops) if c in "YZ")
+    idx = np.arange(dim)
+    sign = 1 - 2 * (np.bitwise_count(idx & z_mask).astype(np.int64) & 1)
+    return idx, idx ^ x_mask, (1j ** ops.count("Y")) * sign
 
 
 def apply_pauli(state_amp: np.ndarray, ops: str) -> np.ndarray:
     """Return P|psi> for a Pauli string (amplitude-array in, array out)."""
-    x_mask, z_mask, n_y = _pauli_masks(ops)
-    idx = np.arange(state_amp.size)
-    sign = 1 - 2 * (np.bitwise_count(idx & z_mask).astype(np.int64) & 1)
-    phased = (1j**n_y) * sign * state_amp
+    _, flipped, phase = _pauli_action(ops, state_amp.size)
     out = np.empty_like(state_amp)
-    out[idx ^ x_mask] = phased
+    out[flipped] = phase * state_amp
     return out
 
 
@@ -216,23 +201,15 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def pauli_sum_matrix(terms, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a weighted Pauli sum; qubit 0 is the innermost kron factor."""
-    dim = 1 << n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
+    """Dense matrix of a weighted Pauli sum: term c P adds c phase at (flipped, idx).
+
+    (idx, flipped, phase) are those of `_pauli_action`, which `apply_pauli` uses.
+    """
+    out = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
     for term in terms:
         if term.n_qubits != n_qubits:
             raise ValueError("Pauli string length does not match qubit count")
-        mat = np.array([[1.0 + 0j]])
-        for c in term.ops:
-            mat = np.kron(PAULI_MATRICES[c], mat)
-        out += term.coefficient * mat
+        idx, flipped, phase = _pauli_action(term.ops, 1 << n_qubits)
+        out[flipped, idx] += term.coefficient * phase
     return out

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from latentvqe.ansatz import AnsatzSpec, strongly_entangling
-from latentvqe.circuit import Circuit, Gate, Param
+from latentvqe.circuit import Circuit, Gate, Param, u3_matrix
 from latentvqe.hamiltonian import QubitHamiltonian, exact_ground_energy
 from latentvqe.optimize import (
     DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
@@ -10,7 +11,8 @@ from latentvqe.optimize import (
     energy_fn, first_step_delta, minimize, optimize_vqe, parameter_shift_gradient,
     staged_gate_optimize,
 )
-from latentvqe.statevector import PauliString, pauli_sum_matrix, zero_state
+from latentvqe.optimize import _FIT, _SHIFTS, _fourier_argmin, _sinusoid_argmin
+from latentvqe.statevector import PauliString, _apply_1q, pauli_sum_matrix, zero_state
 
 
 def toy_hamiltonians(xs):
@@ -33,15 +35,6 @@ class TestNelderMead:
         assert abs(res["params"][0] - 3.0) < 1e-6
         assert res["evaluations"] > 0
 
-    def test_active_bound(self):
-        res = minimize(
-            lambda x: x[0] ** 2 + x[1] ** 2, [1.5, 0.5],
-            bounds=[(1.0, 2.0), (-1.0, 1.0)],
-            config=OptimizerConfig(max_iterations=800, tolerance=1e-14),
-        )
-        assert abs(res["params"][0] - 1.0) < 1e-6
-        assert abs(res["params"][1]) < 1e-6
-
     def test_uccsd_vqe_from_zero_init(self):
         from latentvqe.ansatz import uccsd_h2
         from latentvqe.hamiltonian import hamiltonian_for_distance
@@ -63,26 +56,21 @@ class TestNelderMead:
         assert np.array_equal(a["params"], b["params"])
         assert a["evaluations"] == b["evaluations"]
 
-    def test_agrees_with_scipy_nelder_mead_on_bounded_quadratic(self):
+    def test_agrees_with_scipy_nelder_mead_on_quadratic(self):
         scipy_optimize = pytest.importorskip("scipy.optimize")
-        # The unconstrained minimum (2.5, -0.4) lies outside the box, so the bounded
-        # optimum lies on the face x[0] = 1.
 
         def cost(x):
             a, b = x[0] - 2.5, x[1] + 0.4
             return a * a + 2.0 * b * b + 0.5 * a * b
 
-        bounds = [(-1.0, 1.0), (-1.0, 1.0)]
-        # From (0.2, 0.3) SciPy's clipped simplex collapses onto the x1 = -1 face instead.
-        ours = minimize(cost, [-0.5, 0.5], bounds=bounds,
+        ours = minimize(cost, [-0.5, 0.5],
                         config=OptimizerConfig(max_iterations=2000, tolerance=1e-14))
-        ref = scipy_optimize.minimize(cost, [-0.5, 0.5], method="Nelder-Mead", bounds=bounds,
+        ref = scipy_optimize.minimize(cost, [-0.5, 0.5], method="Nelder-Mead",
                                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
         assert ref.success
         np.testing.assert_allclose(ours["params"], ref.x, atol=1e-6)
         assert ours["value"] == pytest.approx(ref.fun, abs=1e-10)
-        # on that face, d/dx[1] = 4 (x[1] + 0.4) - 0.75 = 0
-        np.testing.assert_allclose(ours["params"], [1.0, -0.4 + 0.75 / 4.0], atol=1e-6)
+        np.testing.assert_allclose(ours["params"], [2.5, -0.4], atol=1e-6)
 
 
 class TestParameterShift:
@@ -208,6 +196,114 @@ class TestStaged:
         c = Circuit(1, (u3,), 2)
         with pytest.raises(ValueError, match="U3 gate 0 on qubit 0"):
             staged_gate_optimize(c, [PauliString("Z", 1.0)], np.zeros(2))
+
+    def test_rejects_u3_reading_one_slot_twice(self):
+        u3 = Gate("U3", (0,), (Param.ref(0), Param.ref(1), Param.ref(0)))
+        c = Circuit(1, (u3,), 2)
+        with pytest.raises(ValueError, match="three distinct slots"):
+            staged_gate_optimize(c, [PauliString("Z", 1.0)], np.zeros(2))
+
+    def test_rejects_u3_angle_with_a_coefficient(self):
+        # the closed-form phases assume a 2 pi period in each slot
+        u3 = Gate("U3", (0,), (Param.ref(0, 2.0), Param.ref(1), Param.ref(2)))
+        c = Circuit(1, (u3,), 3)
+        with pytest.raises(ValueError, match="coefficient 1"):
+            staged_gate_optimize(c, [PauliString("Z", 1.0)], np.zeros(3))
+
+    def test_offsets_are_allowed(self):
+        shifted = lambda q, k: Gate("U3", (q,), tuple(Param(k + i, 1.0, 0.1 * (i + 1))
+                                                    for i in range(3)))
+        c = Circuit(2, (shifted(0, 0), shifted(1, 3), Gate("CNOT", (0, 1)),
+                        shifted(0, 6), shifted(1, 9)), 12)
+        h = toy_hamiltonians([0.8])[0]
+        cost = energy_fn(c, h, zero_state(2))
+        res = staged_gate_optimize(c, h, np.full(12, 0.5))
+        assert res["energy"] == pytest.approx(cost(res["params"]), abs=1e-12)
+        assert res["energy"] < cost(np.full(12, 0.5))
+        assert res["energy"] - exact_ground_energy(h)["energy"] < 1e-3
+
+    def test_bounded_solve_stays_in_box_and_never_rises(self):
+        h = toy_hamiltonians([1.1])[0]
+        c = strongly_entangling(2, 1)
+        x0 = np.random.default_rng(3).uniform(0, 2 * np.pi, 12)
+        lo, hi = x0 - 0.2, x0 + 0.1
+        res = staged_gate_optimize(c, h, x0, bounds=(lo, hi))
+        assert np.all(res["params"] >= lo) and np.all(res["params"] <= hi)
+        assert res["energy"] <= energy_fn(c, h, zero_state(2))(x0)
+
+
+def _sinusoid_value(coef, u):
+    return coef[0] + coef[1] * np.cos(u) + coef[2] * np.sin(u)
+
+
+class TestClosedFormSolves:
+    """The 1-D and 2-D solves against independent minimizers of the same functions."""
+
+    @pytest.mark.parametrize("box", ["contains", "excludes", "unbounded"])
+    def test_sinusoid_argmin_matches_dense_grid(self, box):
+        rng = np.random.default_rng({"contains": 1, "excludes": 2, "unbounded": 3}[box])
+        for _ in range(40):
+            c, a, b = rng.normal(size=3)
+            coef = [c, a, b]
+            # the minimum of c + a cos u + b sin u nearest 0 builds the box, not the check
+            minimum = np.remainder(np.arctan2(b, a) + 2 * np.pi, 2 * np.pi) - np.pi
+            if box == "unbounded":
+                lo, hi = -np.inf, np.inf
+                grid = np.linspace(-np.pi, np.pi, 20_001)
+            else:
+                if box == "contains":
+                    lo = min(minimum, 0.0) - rng.uniform(0, 1)
+                    hi = max(minimum, 0.0) + rng.uniform(0, 1)
+                else:  # 0 inside, every 2 pi image of the minimum outside
+                    above = minimum if minimum > 0 else minimum + 2 * np.pi
+                    lo = rng.uniform(0.01, 0.99) * (above - 2 * np.pi)
+                    hi = rng.uniform(0.01, 0.99) * above
+                grid = np.linspace(lo, hi, 20_001)
+            u = _sinusoid_argmin(coef, lo, hi)
+            assert lo <= u <= hi
+            # the grid minimum lies above the true one by at most R (spacing / 2)^2 / 2
+            best = _sinusoid_value(coef, grid).min()
+            assert _sinusoid_value(coef, u) <= best + 1e-9
+            assert _sinusoid_value(coef, u) >= best - 2e-8 * np.hypot(a, b)
+
+    def test_sinusoid_argmin_stays_without_a_gain(self):
+        # a flat fit (an angle the energy does not depend on) never moves
+        assert _sinusoid_argmin([0.7, 0.0, 0.0], -1.0, 1.0) == 0.0
+        assert _sinusoid_argmin([0.7, 0.0, 0.0], -np.inf, np.inf) == 0.0
+        assert _sinusoid_argmin([0.7, 0.0, 0.0], -1.0, 1.0, at=0.3) == 0.3
+        assert _sinusoid_argmin([0.0, 1.0, 0.0], 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("box", ["unbounded", "wide", "narrow"])
+    def test_fourier_argmin_matches_lbfgsb_on_the_energy(self, box):
+        # E(theta, phi) of one U3 on a random 2-qubit state under a random
+        # Hermitian H; the 9 grid energies fit it exactly, and L-BFGS-B from
+        # a 5 x 5 grid of starts minimizes the energy itself on the same box
+        rng = np.random.default_rng({"unbounded": 4, "wide": 5, "narrow": 6}[box])
+        for _ in range(12):
+            hmat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            hmat = hmat + hmat.conj().T
+            pre = rng.normal(size=4) + 1j * rng.normal(size=4)
+            pre /= np.linalg.norm(pre)
+            qubit = int(rng.integers(2))
+            theta, phi, lam = rng.uniform(-np.pi, np.pi, 3)
+            def energy(x):
+                psi = _apply_1q(pre, u3_matrix(theta + x[0], phi + x[1], lam), qubit, 2)
+                return float(np.real(np.vdot(psi, hmat @ psi)))
+            grid = np.array([[energy((s, t)) for t in _SHIFTS] for s in _SHIFTS])
+            if box == "unbounded":
+                lo, hi = [-np.inf] * 2, [np.inf] * 2
+            else:
+                width = rng.uniform(0.5, 4.0, 2) if box == "wide" else rng.uniform(0.02, 0.5, 2)
+                lo = list(-rng.uniform(0, 1, 2) * width)
+                hi = [lo[0] + width[0], lo[1] + width[1]]
+            u, v = _fourier_argmin(_FIT @ grid @ _FIT.T, lo, hi)
+            assert lo[0] <= u <= hi[0] and lo[1] <= v <= hi[1]
+            starts = [np.linspace(max(l, -np.pi), min(h, np.pi), 5) for l, h in zip(lo, hi)]
+            scipy_bounds = None if box == "unbounded" else list(zip(lo, hi))
+            best = min(scipy_minimize(energy, [s, t], method="L-BFGS-B", bounds=scipy_bounds,
+                                      options={"ftol": 1e-15, "gtol": 1e-12}).fun
+                       for s in starts[0] for t in starts[1])
+            assert energy((u, v)) == pytest.approx(best, abs=1e-9)
 
 
 class TestStepConstraint:

@@ -5,14 +5,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentvqe.ansatz import strongly_entangling
 from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
     PARAM_ARITY, Circuit, Gate, Param, apply_circuit, apply_gates, circuit_from_dict,
     circuit_to_dict, inverse, simulate,
 )
 from latentvqe.hamiltonian import _string_product
-from latentvqe.optimize import batched_shift_gradient
-from latentvqe.statevector import PauliString, StateVector, pauli_sum_matrix
+from latentvqe.optimize import batched_shift_gradient, energy_fn, staged_gate_optimize
+from latentvqe.statevector import PauliString, StateVector, pauli_sum_matrix, zero_state
 
 N_QUBITS = 3
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -107,10 +108,53 @@ def test_gradient_matches_central_differences(circuit, seed):
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=3, max_size=3)
 
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kronecker_pauli_sum(terms, n_qubits):
+    """Dense matrix of a weighted Pauli sum by Kronecker products; qubit 0 innermost."""
+    out = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    for term in terms:
+        mat = np.array([[1.0 + 0j]])
+        for c in term.ops:
+            mat = np.kron(PAULI_MATRICES[c], mat)
+        out += term.coefficient * mat
+    return out
+
 
 @settings(max_examples=200, deadline=None)
 @given(pauli_strings, pauli_strings)
 def test_string_product_matches_dense_product(a, b):
-    dense = lambda ops: pauli_sum_matrix([PauliString(ops)], len(ops))
+    dense = lambda ops: kronecker_pauli_sum([PauliString(ops)], len(ops))
     phase, ops = _string_product(a, b)
     np.testing.assert_array_equal(dense(a) @ dense(b), phase * dense(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(pauli_strings, finite), max_size=8))
+def test_pauli_sum_matrix_matches_kronecker_build(terms):
+    terms = [PauliString(ops, c) for ops, c in terms]
+    np.testing.assert_array_equal(pauli_sum_matrix(terms, N_QUBITS),
+                                  kronecker_pauli_sum(terms, N_QUBITS))
+
+
+two_qubit_strings = [a + b for a in "IXYZ" for b in "IXYZ"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(finite, min_size=16, max_size=16), st.integers(0, 2**32 - 1))
+def test_staged_solve_descends_and_respects_the_ground_energy(coeffs, seed):
+    # a real combination of the 16 two-qubit Pauli strings is a random Hermitian 4 x 4 H
+    terms = [PauliString(ops, c) for ops, c in zip(two_qubit_strings, coeffs)]
+    circuit = strongly_entangling(2, 1)
+    x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, circuit.n_params)
+    res = staged_gate_optimize(circuit, terms, x0)
+    floor = np.linalg.eigvalsh(kronecker_pauli_sum(terms, 2))[0]
+    # the start is scored on another contraction path, so both sides carry rounding
+    assert res["energy"] <= energy_fn(circuit, terms, zero_state(2))(x0) + 1e-12
+    assert res["energy"] >= floor - 1e-12

@@ -6,7 +6,7 @@ from latentvqe.circuit import (
 )
 from latentvqe.statevector import (
     DensityMatrix, PauliString, StateVector, apply_gate, expectation,
-    fidelity_with_zero, from_amplitudes, overlap, partial_trace, zero_state,
+    fidelity_with_zero, overlap, partial_trace, zero_state,
 )
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -39,7 +39,7 @@ class TestApplyGate:
         assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_cnot_flips_target(self):
-        s = from_amplitudes(np.array([0, 1, 0, 0], dtype=complex))  # |q0=1, q1=0>
+        s = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))  # |q0=1, q1=0>
         out = apply_gate(s, CNOT01, (0, 1))
         assert np.allclose(out.amplitudes, [0, 0, 0, 1])
 
@@ -118,7 +118,7 @@ class TestPartialTrace:
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_bell_state_is_maximally_mixed(self):
-        bell = from_amplitudes(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        bell = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
         rho = partial_trace(bell, keep=[0])
         assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
@@ -153,7 +153,7 @@ class TestFidelityWithZero:
 class TestOverlap:
     def test_basis_overlaps(self):
         zero = zero_state(1)
-        one = from_amplitudes(np.array([0, 1], dtype=complex))
+        one = StateVector(1, np.array([0, 1], dtype=complex))
         assert overlap(zero, zero) == pytest.approx(1)
         assert overlap(zero, one) == pytest.approx(0)
 
