@@ -265,6 +265,13 @@ def _sinusoid(coef, u: float) -> float:
     return coef[0] + coef[1] * math.cos(u) + coef[2] * math.sin(u)
 
 
+def _along(rows, x: float) -> list[float]:
+    """Each row dotted with f(x) = (1, cos x, sin x): fixing one angle of a
+    9-coefficient fit at x leaves a sinusoid in the other with these coefficients."""
+    c, s = math.cos(x), math.sin(x)
+    return [r[0] + r[1] * c + r[2] * s for r in rows]
+
+
 def _sinusoid_argmin(coef, lo: float, hi: float, at: float = 0.0) -> float:
     """argmin of c + a cos u + b sin u = c + R cos(u - atan2(b, a)) on [lo, hi], lo <= 0 <= hi.
 
@@ -284,15 +291,15 @@ def _fourier_argmin(coef: np.ndarray, lo, hi) -> tuple[float, float]:
     starts, since one can end in a local minimum: either coordinate at 0, the
     other at each of _SHIFTS clipped to the box. (0, 0) unless the best is lower.
     """
-    fit = lambda u, v: _sinusoid([_sinusoid(r, v) for r in coef.tolist()], u)
+    fit = lambda u, v: _sinusoid(_along(coef.tolist(), v), u)
     best = (fit(0.0, 0.0), 0.0, 0.0)
     for m, lo_, hi_, order in ((coef, lo, hi, 1), (coef.T, lo[::-1], hi[::-1], -1)):
         rows, cols = m.tolist(), m.T.tolist()
         for b in np.clip(_SHIFTS, lo_[1], hi_[1]).tolist():
             a = 0.0
             for _ in range(100):
-                a_new = _sinusoid_argmin([_sinusoid(r, b) for r in rows], lo_[0], hi_[0], a)
-                b_new = _sinusoid_argmin([_sinusoid(c, a_new) for c in cols], lo_[1], hi_[1], b)
+                a_new = _sinusoid_argmin(_along(rows, b), lo_[0], hi_[0], a)
+                b_new = _sinusoid_argmin(_along(cols, a_new), lo_[1], hi_[1], b)
                 if (a_new, b_new) == (a, b):
                     break
                 a, b = a_new, b_new

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
 
 from latentvqe.ansatz import AnsatzSpec, strongly_entangling
 from latentvqe.circuit import Circuit, Gate, Param, u3_matrix
@@ -278,6 +277,7 @@ class TestClosedFormSolves:
         # E(theta, phi) of one U3 on a random 2-qubit state under a random
         # Hermitian H; the 9 grid energies fit it exactly, and L-BFGS-B from
         # a 5 x 5 grid of starts minimizes the energy itself on the same box
+        scipy_optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng({"unbounded": 4, "wide": 5, "narrow": 6}[box])
         for _ in range(12):
             hmat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -300,8 +300,9 @@ class TestClosedFormSolves:
             assert lo[0] <= u <= hi[0] and lo[1] <= v <= hi[1]
             starts = [np.linspace(max(l, -np.pi), min(h, np.pi), 5) for l, h in zip(lo, hi)]
             scipy_bounds = None if box == "unbounded" else list(zip(lo, hi))
-            best = min(scipy_minimize(energy, [s, t], method="L-BFGS-B", bounds=scipy_bounds,
-                                      options={"ftol": 1e-15, "gtol": 1e-12}).fun
+            best = min(scipy_optimize.minimize(energy, [s, t], method="L-BFGS-B",
+                                               bounds=scipy_bounds,
+                                               options={"ftol": 1e-15, "gtol": 1e-12}).fun
                        for s in starts[0] for t in starts[1])
             assert energy((u, v)) == pytest.approx(best, abs=1e-9)
 
