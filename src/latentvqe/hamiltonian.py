@@ -4,7 +4,9 @@ Pipeline: closed-form STO-3G integrals over s-type Gaussians -> symmetry
 molecular orbitals (no SCF loop needed for minimal-basis H2) -> second
 quantization over 4 spin orbitals -> Jordan-Wigner Pauli strings. The
 exact-diagonalization oracle runs cyclic Jacobi rotations on the dense
-16x16 matrix.
+16x16 matrix. What does not depend on the bond length (the primitive-pair
+constants of the integrals, the Jordan-Wigner products of ladder operators)
+is built once per process, on first use.
 
 Spin-orbital / qubit ordering (blocked spin): qubit 0 = sigma_g up,
 qubit 1 = sigma_u up, qubit 2 = sigma_g down, qubit 3 = sigma_u down.
@@ -12,9 +14,11 @@ Internals are atomic units; bond lengths at the API are Angstrom.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,6 +48,13 @@ class QubitHamiltonian:
     terms: tuple[PauliString, ...]
     bond_length: float
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense 2^n x 2^n matrix, built on first use, once per object; read-only."""
+        m = pauli_sum_matrix(self.terms, self.n_qubits)
+        m.flags.writeable = False
+        return m
+
 
 class JacobiConvergenceError(RuntimeError):
     """Cyclic Jacobi failed to reach the off-diagonal tolerance."""
@@ -60,13 +71,15 @@ def _prim_norm(alpha: float) -> float:
     return (2.0 * alpha / math.pi) ** 0.75
 
 
-def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
-    """Contracted STO-3G integrals for H2, transformed to the g/u MO basis."""
-    if not 0.2 <= bond_length <= 5.0:
-        raise ValueError(f"bond length {bond_length} outside supported [0.2, 5.0] Angstrom")
-    r = bond_length * ANGSTROM_TO_BOHR
-    centers = (0.0, r)
+@functools.cache
+def _sto3g_table():
+    """Distance-independent STO-3G constants, built on first use.
 
+    Per primitive pair (i, j), in loop order: (a_i, a_j, p, mu, c_i c_j (pi/p)^1.5,
+    c_i c_j mu, (pi/p)^1.5, c_i c_j 2pi/p); per quartet, rows of
+    c_i c_j c_k c_l pref and pq/(p+q). Each product keeps the left-to-right
+    association of the straight-line formulas, so the integrals are bit-identical.
+    """
     exps = _STO3G_EXPONENTS
     raw = [c * _prim_norm(a) for c, a in zip(_STO3G_COEFFS, exps)]
     # Renormalize the contracted AO to <chi|chi> = 1.
@@ -75,64 +88,62 @@ def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
         for ci, ai in zip(raw, exps)
         for cj, aj in zip(raw, exps)
     )
-    coefs = [c / math.sqrt(self_ov) for c in raw]
+    prims = [(c / math.sqrt(self_ov), a) for c, a in zip(raw, exps)]
+    base = [(ci, cj, ai, aj, ai + aj, ai * aj / (ai + aj)) for ci, ai in prims for cj, aj in prims]
+    pairs = [
+        (ai, aj, p, mu, ci * cj * (math.pi / p) ** 1.5, ci * cj * mu, (math.pi / p) ** 1.5,
+         ci * cj * (2.0 * math.pi / p))
+        for ci, cj, ai, aj, p, mu in base
+    ]
+    quartets = [
+        ([ci * cj * ck * cl * (2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q)))
+          for ck, cl, _, _, q, _ in base],
+         [p * q / (p + q) for *_, q, _ in base])
+        for ci, cj, _, _, p, _ in base
+    ]
+    return pairs, quartets
 
-    def overlap(A: float, B: float) -> float:
-        s = 0.0
-        for ci, ai in zip(coefs, exps):
-            for cj, aj in zip(coefs, exps):
-                p = ai + aj
-                mu = ai * aj / p
-                s += ci * cj * (math.pi / p) ** 1.5 * math.exp(-mu * (A - B) ** 2)
-        return s
 
-    def kinetic(A: float, B: float) -> float:
-        t = 0.0
-        for ci, ai in zip(coefs, exps):
-            for cj, aj in zip(coefs, exps):
-                p = ai + aj
-                mu = ai * aj / p
-                r2 = (A - B) ** 2
-                s = (math.pi / p) ** 1.5 * math.exp(-mu * r2)
-                t += ci * cj * mu * (3.0 - 2.0 * mu * r2) * s
-        return t
+def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
+    """Contracted STO-3G integrals for H2, transformed to the g/u MO basis."""
+    if not 0.2 <= bond_length <= 5.0:
+        raise ValueError(f"bond length {bond_length} outside supported [0.2, 5.0] Angstrom")
+    r = bond_length * ANGSTROM_TO_BOHR
+    centers = (0.0, r)
+    pairs, quartets = _sto3g_table()
+    # Per centre pair (A, B) and primitive pair: exp(-mu (A - B)^2) and the
+    # Gaussian product centre P = (a_i A + a_j B) / p.
+    gauss = {
+        (A, B): ([math.exp(-mu * (A - B) ** 2) for _, _, _, mu, *_ in pairs],
+                 [(ai * A + aj * B) / p for ai, aj, p, *_ in pairs])
+        for A in centers for B in centers
+    }
 
-    def nuclear(A: float, B: float) -> float:
-        v = 0.0
-        for ci, ai in zip(coefs, exps):
-            for cj, aj in zip(coefs, exps):
-                p = ai + aj
-                mu = ai * aj / p
-                P = (ai * A + aj * B) / p
-                pref = ci * cj * (2.0 * math.pi / p) * math.exp(-mu * (A - B) ** 2)
-                for C in centers:  # both nuclei have Z = 1
-                    v -= pref * _boys_f0(p * (P - C) ** 2)
-        return v
+    def one_body(A: float, B: float) -> float:
+        t = v = 0.0
+        r2 = (A - B) ** 2
+        for (_, _, p, mu, _, ccmu, s0, cc2pi), e, P in zip(pairs, *gauss[A, B]):
+            t += ccmu * (3.0 - 2.0 * mu * r2) * (s0 * e)
+            pref = cc2pi * e
+            for C in centers:  # both nuclei have Z = 1
+                v -= pref * _boys_f0(p * (P - C) ** 2)
+        return t + v
 
     def eri(A: float, B: float, C: float, D: float) -> float:
         val = 0.0
-        for ci, ai in zip(coefs, exps):
-            for cj, aj in zip(coefs, exps):
-                p = ai + aj
-                P = (ai * A + aj * B) / p
-                kab = math.exp(-ai * aj / p * (A - B) ** 2)
-                for ck, ak in zip(coefs, exps):
-                    for cl, al in zip(coefs, exps):
-                        q = ak + al
-                        Q = (ak * C + al * D) / q
-                        kcd = math.exp(-ak * al / q * (C - D) ** 2)
-                        pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
-                        val += (
-                            ci * cj * ck * cl * pref * kab * kcd
-                            * _boys_f0(p * q / (p + q) * (P - Q) ** 2)
-                        )
+        (kab_all, p_all), (kcd_all, q_all) = gauss[A, B], gauss[C, D]
+        for kab, P, (k_row, rho_row) in zip(kab_all, p_all, quartets):
+            for kcd, Q, k, rho in zip(kcd_all, q_all, k_row, rho_row):
+                val += k * kab * kcd * _boys_f0(rho * (P - Q) ** 2)
         return val
 
-    s12 = overlap(centers[0], centers[1])
+    s12 = 0.0
+    for (_, _, _, _, ov, *_), e in zip(pairs, gauss[0.0, r][0]):
+        s12 += ov * e
     h_ao = np.empty((2, 2))
     for mu_i, A in enumerate(centers):
         for nu, B in enumerate(centers):
-            h_ao[mu_i, nu] = kinetic(A, B) + nuclear(A, B)
+            h_ao[mu_i, nu] = one_body(A, B)
 
     g_ao = np.empty((2, 2, 2, 2))
     for i, A in enumerate(centers):
@@ -203,6 +214,20 @@ def _ladder(p: int, n: int, create: bool) -> dict:
     return {prefix + "X" + suffix: 0.5, prefix + "Y" + suffix: 0.5 * sign}
 
 
+@functools.cache
+def _one_body_op(p: int, q: int, n: int) -> MappingProxyType:
+    """a+_p a_q as Pauli strings; distance-independent, built once per process."""
+    return MappingProxyType(_op_product(_ladder(p, n, True), _ladder(q, n, False)))
+
+
+@functools.cache
+def _two_body_op(p: int, q: int, r: int, s: int, n: int) -> MappingProxyType:
+    """a+_p a+_q a_s a_r as Pauli strings; distance-independent, built once per process."""
+    op = _op_product(_ladder(p, n, True), _ladder(q, n, True))
+    op = _op_product(op, _ladder(s, n, False))
+    return MappingProxyType(_op_product(op, _ladder(r, n, False)))
+
+
 def jordan_wigner_terms(h_so: np.ndarray, v_so: np.ndarray, e_nuc: float) -> dict:
     """Map sum h_pq a+_p a_q + 1/2 sum <pq|rs> a+_p a+_q a_s a_r + E_nuc to Pauli strings."""
     n = h_so.shape[0]
@@ -215,42 +240,26 @@ def jordan_wigner_terms(h_so: np.ndarray, v_so: np.ndarray, e_nuc: float) -> dic
     for p in range(n):
         for q in range(n):
             if abs(h_so[p, q]) > 0:
-                accumulate(_op_product(_ladder(p, n, True), _ladder(q, n, False)), h_so[p, q])
+                accumulate(_one_body_op(p, q, n), h_so[p, q])
     for p in range(n):
         for q in range(n):
             for r in range(n):
                 for s in range(n):
                     w = v_so[p, q, r, s]
                     if abs(w) > 0:
-                        op = _op_product(_ladder(p, n, True), _ladder(q, n, True))
-                        op = _op_product(op, _ladder(s, n, False))
-                        op = _op_product(op, _ladder(r, n, False))
-                        accumulate(op, 0.5 * w)
+                        accumulate(_two_body_op(p, q, r, s, n), 0.5 * w)
     return total
 
 
 def build_qubit_hamiltonian(integrals: MolecularIntegrals) -> QubitHamiltonian:
     """4-qubit Jordan-Wigner Hamiltonian with merged terms and pruned coefficients."""
     n_spin = 4
-    spatial = lambda i: i % 2
-    spin = lambda i: i // 2
-
-    h_so = np.zeros((n_spin, n_spin))
-    for i in range(n_spin):
-        for j in range(n_spin):
-            if spin(i) == spin(j):
-                h_so[i, j] = integrals.h_mo[spatial(i), spatial(j)]
-
+    spatial, spin = np.arange(n_spin) % 2, np.arange(n_spin) // 2
+    same = spin[:, None] == spin[None, :]
+    h_so = np.where(same, integrals.h_mo[np.ix_(spatial, spatial)], 0.0)
     # <ij|kl> physicists' = (ik|jl) chemists' with matching spins.
-    v_so = np.zeros((n_spin,) * 4)
-    for i in range(n_spin):
-        for j in range(n_spin):
-            for k in range(n_spin):
-                for l in range(n_spin):
-                    if spin(i) == spin(k) and spin(j) == spin(l):
-                        v_so[i, j, k, l] = integrals.g_mo[
-                            spatial(i), spatial(k), spatial(j), spatial(l)
-                        ]
+    chem = integrals.g_mo[np.ix_(spatial, spatial, spatial, spatial)].transpose(0, 2, 1, 3)
+    v_so = np.where(same[:, None, :, None] & same[None, :, None, :], chem, 0.0)
 
     raw = jordan_wigner_terms(h_so, v_so, integrals.e_nuclear)
     terms = []
@@ -268,8 +277,9 @@ def hamiltonian_for_distance(bond_length: float) -> QubitHamiltonian:
 
 
 def dense_matrix(hamiltonian: QubitHamiltonian) -> np.ndarray:
-    """Dense 2^n x 2^n matrix; qubit 0 is the least-significant kron factor."""
-    return pauli_sum_matrix(hamiltonian.terms, hamiltonian.n_qubits)
+    """Dense 2^n x 2^n matrix (read-only, cached on the object); qubit 0 is the
+    least-significant kron factor."""
+    return hamiltonian.matrix
 
 
 # --- exact diagonalization oracle -------------------------------------------
@@ -340,13 +350,6 @@ def exact_ground_energy(hamiltonian: QubitHamiltonian) -> dict:
         "energy": float(evals[0]),
         "eigenvector": StateVector(hamiltonian.n_qubits, vec),
     }
-
-
-def hartree_fock_state() -> StateVector:
-    """|0101>: sigma_g up (qubit 0) and sigma_g down (qubit 2) occupied."""
-    amp = np.zeros(16, dtype=complex)
-    amp[0b0101] = 1.0
-    return StateVector(4, amp)
 
 
 # --- serialization ----------------------------------------------------------

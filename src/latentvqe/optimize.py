@@ -58,8 +58,13 @@ class StepConstraint:
         return center - half, center + half
 
 
-def _terms_of(hamiltonian):
-    return hamiltonian.terms if isinstance(hamiltonian, QubitHamiltonian) else tuple(hamiltonian)
+def _observable(hamiltonian, n_qubits: int) -> np.ndarray:
+    """Dense H: the matrix cached on a QubitHamiltonian, else built from the terms."""
+    if isinstance(hamiltonian, QubitHamiltonian):
+        if hamiltonian.n_qubits == n_qubits:
+            return hamiltonian.matrix
+        hamiltonian = hamiltonian.terms
+    return pauli_sum_matrix(tuple(hamiltonian), n_qubits)
 
 
 def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
@@ -69,7 +74,7 @@ def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
     T, is folded into the dense observable as T^dag H T. Each evaluation runs
     `apply_circuit` on the gates in between.
     """
-    hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
+    hmat = _observable(hamiltonian, circuit.n_qubits)
     amp0, steps = initial.amplitudes, circuit.plan.steps
     lo, hi = 0, len(circuit.gates)
     if steps and isinstance(steps[0], ConstantStep):
@@ -213,7 +218,7 @@ def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_stat
     accumulates coeff * dE/d(angle) per position: the sum of the two-term
     rules coeff * 1/2 [E(angle + pi/2) - E(angle - pi/2)].
     """
-    hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
+    hmat = _observable(hamiltonian, circuit.n_qubits)
     amp0 = initial_state.amplitudes.reshape(-1, 1)
     return batched_shift_gradient(circuit, hmat, params, amp0)
 
@@ -357,7 +362,7 @@ def staged_gate_optimize(
     """
     config = config or OptimizerConfig(tolerance=1e-9)
     n = circuit.n_qubits
-    hmat = pauli_sum_matrix(_terms_of(hamiltonian), n)
+    hmat = _observable(hamiltonian, n)
     amp0 = zero_state(n).amplitudes
     lo, hi = (-math.inf, math.inf) if bounds is None else bounds
     params = np.clip(np.asarray(init, dtype=float), lo, hi)
@@ -470,7 +475,7 @@ def first_step_delta(circuit: Circuit, hamiltonian, params) -> np.ndarray:
     theta_{i-1} - theta_{i-2} that later steps use.
     """
     params = np.asarray(params, dtype=float)
-    hmat = pauli_sum_matrix(_terms_of(hamiltonian), circuit.n_qubits)
+    hmat = _observable(hamiltonian, circuit.n_qubits)
     amp0 = zero_state(circuit.n_qubits).amplitudes.reshape(-1, 1)
     grad = lambda x: batched_shift_gradient(circuit, hmat, x, amp0)
     h = 1e-4

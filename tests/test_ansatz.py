@@ -5,9 +5,7 @@ from latentvqe.ansatz import (
     AnsatzSpec, build_ansatz, efficient_su2, qae_encoder, strongly_entangling, uccsd_h2,
 )
 from latentvqe.circuit import resource_counts, simulate
-from latentvqe.hamiltonian import (
-    exact_ground_energy, hamiltonian_for_distance, hartree_fock_state,
-)
+from latentvqe.hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from latentvqe.optimize import OptimizerConfig, optimize_vqe
 from latentvqe.statevector import PauliString, pauli_sum_matrix, zero_state
 
@@ -75,7 +73,9 @@ class TestEfficientSu2:
 class TestUccsd:
     def test_zero_parameters_give_hartree_fock(self):
         out = simulate(uccsd_h2(), np.zeros(3), zero_state(4))
-        assert np.allclose(out.amplitudes, hartree_fock_state().amplitudes, atol=1e-12)
+        hartree_fock = np.zeros(16)
+        hartree_fock[0b0101] = 1.0  # sigma_g up (qubit 0) and sigma_g down (qubit 2)
+        assert np.allclose(out.amplitudes, hartree_fock, atol=1e-12)
 
     def test_particle_number_conserved(self):
         c = uccsd_h2()

@@ -1,18 +1,211 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
-    ANGSTROM_TO_BOHR, JacobiConvergenceError, QubitHamiltonian, build_qubit_hamiltonian,
-    dense_matrix, exact_ground_energy, hamiltonian_for_distance, hamiltonian_from_json,
-    hamiltonian_to_dict, hartree_fock_state, jacobi_eigh, sto3g_integrals,
+    _STO3G_COEFFS, _STO3G_EXPONENTS, ANGSTROM_TO_BOHR, COEFF_PRUNE_TOL, JacobiConvergenceError,
+    QubitHamiltonian, _boys_f0, _ladder, _op_product, _prim_norm, _transform_eri,
+    build_qubit_hamiltonian, dense_matrix, exact_ground_energy, hamiltonian_for_distance,
+    hamiltonian_from_json, hamiltonian_to_dict, jacobi_eigh, jordan_wigner_terms,
+    sto3g_integrals,
 )
 from latentvqe.statevector import PauliString, StateVector, expectation
 
 GRID = np.linspace(0.3, 2.85, 25)
+# 201 bond lengths over the supported range, both ends included.
+FULL_RANGE = np.linspace(0.2, 5.0, 201)
+
+
+def hartree_fock_state() -> StateVector:
+    """|0101>: sigma_g up (qubit 0) and sigma_g down (qubit 2) occupied."""
+    amp = np.zeros(16, dtype=complex)
+    amp[0b0101] = 1.0
+    return StateVector(4, amp)
+
+
+# --- reference build: the straight-line code the tables replace -------------
+
+def reference_integrals(bond_length: float):
+    """STO-3G integrals with every primitive constant recomputed in the loops."""
+    r = bond_length * ANGSTROM_TO_BOHR
+    centers = (0.0, r)
+    exps = _STO3G_EXPONENTS
+    raw = [c * _prim_norm(a) for c, a in zip(_STO3G_COEFFS, exps)]
+    self_ov = sum(
+        ci * cj * (math.pi / (ai + aj)) ** 1.5
+        for ci, ai in zip(raw, exps)
+        for cj, aj in zip(raw, exps)
+    )
+    coefs = [c / math.sqrt(self_ov) for c in raw]
+
+    def overlap(A, B):
+        s = 0.0
+        for ci, ai in zip(coefs, exps):
+            for cj, aj in zip(coefs, exps):
+                p = ai + aj
+                mu = ai * aj / p
+                s += ci * cj * (math.pi / p) ** 1.5 * math.exp(-mu * (A - B) ** 2)
+        return s
+
+    def kinetic(A, B):
+        t = 0.0
+        for ci, ai in zip(coefs, exps):
+            for cj, aj in zip(coefs, exps):
+                p = ai + aj
+                mu = ai * aj / p
+                r2 = (A - B) ** 2
+                s = (math.pi / p) ** 1.5 * math.exp(-mu * r2)
+                t += ci * cj * mu * (3.0 - 2.0 * mu * r2) * s
+        return t
+
+    def nuclear(A, B):
+        v = 0.0
+        for ci, ai in zip(coefs, exps):
+            for cj, aj in zip(coefs, exps):
+                p = ai + aj
+                mu = ai * aj / p
+                P = (ai * A + aj * B) / p
+                pref = ci * cj * (2.0 * math.pi / p) * math.exp(-mu * (A - B) ** 2)
+                for C in centers:
+                    v -= pref * _boys_f0(p * (P - C) ** 2)
+        return v
+
+    def eri(A, B, C, D):
+        val = 0.0
+        for ci, ai in zip(coefs, exps):
+            for cj, aj in zip(coefs, exps):
+                p = ai + aj
+                P = (ai * A + aj * B) / p
+                kab = math.exp(-ai * aj / p * (A - B) ** 2)
+                for ck, ak in zip(coefs, exps):
+                    for cl, al in zip(coefs, exps):
+                        q = ak + al
+                        Q = (ak * C + al * D) / q
+                        kcd = math.exp(-ak * al / q * (C - D) ** 2)
+                        pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
+                        val += (
+                            ci * cj * ck * cl * pref * kab * kcd
+                            * _boys_f0(p * q / (p + q) * (P - Q) ** 2)
+                        )
+        return val
+
+    s12 = overlap(*centers)
+    h_ao = np.array([[kinetic(A, B) + nuclear(A, B) for B in centers] for A in centers])
+    g_ao = np.empty((2, 2, 2, 2))
+    for idx in np.ndindex(2, 2, 2, 2):
+        g_ao[idx] = eri(*(centers[i] for i in idx))
+    cg = 1.0 / math.sqrt(2.0 * (1.0 + s12))
+    cu = 1.0 / math.sqrt(2.0 * (1.0 - s12))
+    cmat = np.array([[cg, cu], [cg, -cu]])
+    return s12, cmat.T @ h_ao @ cmat, _transform_eri(g_ao, cmat), 1.0 / r
+
+
+def spin_orbital_tensors(h_mo, g_mo):
+    """h_so and physicists' <ij|kl> = (ik|jl) on blocked-spin orbitals (spatial i % 2, spin i // 2)."""
+    h_so = np.zeros((4, 4))
+    v_so = np.zeros((4, 4, 4, 4))
+    for i, j, k, l in np.ndindex(4, 4, 4, 4):
+        if i // 2 == j // 2:
+            h_so[i, j] = h_mo[i % 2, j % 2]
+        if i // 2 == k // 2 and j // 2 == l // 2:
+            v_so[i, j, k, l] = g_mo[i % 2, k % 2, j % 2, l % 2]
+    return h_so, v_so
+
+
+def reference_jordan_wigner_terms(h_so, v_so, e_nuc):
+    """The JW map with every ladder-operator product recomputed per call."""
+    n = h_so.shape[0]
+    total = {"I" * n: complex(e_nuc)}
+
+    def accumulate(op, weight):
+        for s, c in op.items():
+            total[s] = total.get(s, 0) + weight * c
+
+    for p in range(n):
+        for q in range(n):
+            if abs(h_so[p, q]) > 0:
+                accumulate(_op_product(_ladder(p, n, True), _ladder(q, n, False)), h_so[p, q])
+    for p, q, r, s in np.ndindex(n, n, n, n):
+        w = v_so[p, q, r, s]
+        if abs(w) > 0:
+            op = _op_product(_ladder(p, n, True), _ladder(q, n, True))
+            op = _op_product(op, _ladder(s, n, False))
+            op = _op_product(op, _ladder(r, n, False))
+            accumulate(op, 0.5 * w)
+    return total
+
+
+def fock_space_matrix(h_so, v_so, e_nuc):
+    """H on the 2^n occupation-number states, with no Pauli algebra.
+
+    Bit p of a basis index is the occupation of spin orbital p; a_p empties
+    orbital p with the sign (-1)^(number of occupied orbitals below p).
+    """
+    n = h_so.shape[0]
+    dim = 1 << n
+    lower = []
+    for p in range(n):
+        a = np.zeros((dim, dim))
+        for state in range(dim):
+            if state >> p & 1:
+                a[state ^ (1 << p), state] = (-1) ** bin(state & ((1 << p) - 1)).count("1")
+        lower.append(a)
+    raise_ = [a.T for a in lower]
+    h = e_nuc * np.eye(dim)
+    for p, q in np.ndindex(n, n):
+        h += h_so[p, q] * raise_[p] @ lower[q]
+    for p, q, r, s in np.ndindex(n, n, n, n):
+        h += 0.5 * v_so[p, q, r, s] * raise_[p] @ raise_[q] @ lower[s] @ lower[r]
+    return h
+
+
+class TestAgainstReferenceBuild:
+    def test_integrals_bit_identical(self):
+        for r in FULL_RANGE:
+            s12, h_mo, g_mo, e_nuc = reference_integrals(float(r))
+            ints = sto3g_integrals(float(r))
+            assert ints.overlap_s12 == s12
+            assert ints.e_nuclear == e_nuc
+            np.testing.assert_array_equal(ints.h_mo, h_mo)
+            np.testing.assert_array_equal(ints.g_mo, g_mo)
+
+    def test_terms_bit_identical(self):
+        for r in FULL_RANGE:
+            _, h_mo, g_mo, e_nuc = reference_integrals(float(r))
+            h_so, v_so = spin_orbital_tensors(h_mo, g_mo)
+            raw = reference_jordan_wigner_terms(h_so, v_so, e_nuc)
+            assert jordan_wigner_terms(h_so, v_so, e_nuc) == raw
+            expected = [(ops, float(raw[ops].real)) for ops in sorted(raw)
+                        if abs(raw[ops].real) >= COEFF_PRUNE_TOL]
+            got = [(t.ops, t.coefficient) for t in hamiltonian_for_distance(float(r)).terms]
+            assert got == expected
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.735, 1.9, 5.0])
+    def test_jordan_wigner_matches_fock_space_oracle(self, r):
+        ints = sto3g_integrals(r)
+        h_so, v_so = spin_orbital_tensors(ints.h_mo, ints.g_mo)
+        fock = fock_space_matrix(h_so, v_so, ints.e_nuclear)
+        assert np.max(np.abs(dense_matrix(hamiltonian_for_distance(r)) - fock)) < 1e-12
+
+    def test_cached_tables_survive_other_distances(self):
+        first = hamiltonian_for_distance(0.6)
+        hamiltonian_for_distance(3.7)
+        third = hamiltonian_for_distance(0.6)
+        assert [(t.ops, t.coefficient) for t in first.terms] == \
+            [(t.ops, t.coefficient) for t in third.terms]
+        np.testing.assert_array_equal(dense_matrix(first), dense_matrix(third))
+
+    def test_dense_matrix_built_once_and_read_only(self):
+        h = hamiltonian_for_distance(1.1)
+        m = dense_matrix(h)
+        assert dense_matrix(h) is m and h.matrix is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
 
 
 class TestIntegrals:
