@@ -78,11 +78,13 @@ def _read_json(path: Path, what: str) -> dict:
     return _read_artifact(path, lambda text: require_schema(json.loads(text), what), what)
 
 
-def _write_manifest(out: Path, command: str, config: dict, inputs, outputs, seed, t0: float):
+def _write_manifest(out: Path, command: str, config: dict, inputs, outputs, seed, t0: float,
+                    result: dict | None = None):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
+        **({"result": result} if result else {}),
         "input_hashes": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "seed": seed,
@@ -298,7 +300,6 @@ def cmd_nn_train(args) -> int:
     t0 = time.time()
     dataset = _read_artifact(Path(args.dataset), dataset_from_csv, "parameter dataset")
     config = mlp.TrainConfig(
-        learning_rate=args.lr,
         epochs=args.epochs,
         train_fraction=args.train_fraction,
         seed=_subseed(args.seed, "nn"),
@@ -306,11 +307,13 @@ def cmd_nn_train(args) -> int:
     result = mlp.train(dataset, config)
     out = Path(args.out)
     _write_json(out, mlp.model_to_dict(result["model"]))
+    stop = {"iterations": result["iterations"], "stop_reason": result["stop_reason"]}
     _write_manifest(out, "nn train",
-                    {"epochs": args.epochs, "lr": args.lr, "train_fraction": args.train_fraction},
-                    [args.dataset], [out], args.seed, t0)
+                    {"epochs": args.epochs, "train_fraction": args.train_fraction},
+                    [args.dataset], [out], args.seed, t0, stop)
     print(f"final train loss: {result['final_train_loss']:.3e}; "
           f"test loss: {result['test_loss']:.3e}")
+    print(f"stopped on {result['stop_reason']} after {result['iterations']} iterations")
     return EXIT_OK
 
 
@@ -458,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     ntrain = nn.add_parser("train", help="fit the MLP on a parameter dataset")
     ntrain.add_argument("--dataset", required=True)
-    ntrain.add_argument("--epochs", type=int, default=60000)
-    ntrain.add_argument("--lr", type=float, default=0.05)
+    ntrain.add_argument("--epochs", type=int, default=60000,
+                        help="L-BFGS iteration cap; training stops earlier once every "
+                             f"loss-gradient component is at most {mlp.GRADIENT_TOL:g}")
     ntrain.add_argument("--train-fraction", type=float, default=0.7)
     ntrain.add_argument("--seed", type=int, default=0)
     ntrain.add_argument("--out", required=True)

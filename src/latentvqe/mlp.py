@@ -3,8 +3,9 @@
 Written from scratch on numpy: tanh hidden layers, linear output, and a
 periodicity-aware loss that compares angles through their Cartesian
 embedding, (cos a - cos b)^2 + (sin a - sin b)^2, so a prediction 2*pi away
-from the target costs nothing. Trained with full-batch gradient descent
-with momentum.
+from the target costs nothing. Trained full-batch by L-BFGS (Liu and
+Nocedal, Math. Prog. 45, 503 (1989)), which stops once every gradient
+component is at most GRADIENT_TOL or after the iteration cap.
 """
 from __future__ import annotations
 
@@ -22,7 +23,10 @@ from .qae import QaeModel, latent_vqe_circuit
 from .statevector import zero_state
 
 HIDDEN = (30, 30, 30, 30)   # tanh hidden-layer widths
-MOMENTUM = 0.9
+GRADIENT_TOL = 1e-5         # stop at max |d loss / d weight| <= this (SciPy L-BFGS-B's pgtol)
+MEMORY = 10                 # L-BFGS curvature pairs kept
+ARMIJO_C1, CURVATURE_C2 = 1e-4, 0.9    # weak Wolfe line-search constants
+MAX_TRIALS = 60             # line-search evaluations per iteration
 
 
 @dataclass(frozen=True)
@@ -46,14 +50,13 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 60000
+    epochs: int = 60000         # L-BFGS iteration cap
     train_fraction: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1:
-            raise ValueError("learning_rate must be > 0 and epochs >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
 
@@ -108,12 +111,72 @@ def loss_gradients(weights, biases, x, y):
     return loss, grads_w, grads_b
 
 
+def lbfgs(fun, x: np.ndarray, max_iterations: int) -> dict:
+    """Minimize in place over the flat vector `x`; `fun(x)` returns (value, gradient).
+
+    Direction: the two-loop recursion over the last MEMORY pairs (Nocedal and
+    Wright, Alg. 7.4). Step: the weak Wolfe conditions, found by doubling
+    while the slope stays steep and bisecting once a step overshoots; the
+    first trial is 1, or min(1, 1/|d|) before any pair is stored, as in SciPy.
+    The curvature condition keeps s.y > 0; under an Armijo-only search, steps
+    with s.y <= 0 are skipped and the memory can freeze. Stops with "gradient"
+    once max |gradient| <= GRADIENT_TOL, or "budget" after `max_iterations`;
+    `trace` holds the value at the start of each iteration run, `x` ends at
+    the last accepted point.
+    """
+    n = x.size
+    s_hist, y_hist, rho, alpha = np.zeros((MEMORY, n)), np.zeros((MEMORY, n)), {}, {}
+    d, s, accepted = np.empty(n), np.empty(n), x.copy()
+    pairs = []                                  # memory slots, oldest first
+    value, grad = fun(x)
+    trace, reason = [], "budget"
+    for it in range(max_iterations):
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite loss at iteration {it}")
+        if np.max(np.abs(grad)) <= GRADIENT_TOL:
+            reason = "gradient"
+            break
+        trace.append(value)
+        np.negative(grad, out=d)
+        for i in reversed(pairs):
+            alpha[i] = rho[i] * (s_hist[i] @ d)
+            d -= alpha[i] * y_hist[i]
+        if pairs:
+            d *= 1.0 / (rho[pairs[-1]] * (y_hist[pairs[-1]] @ y_hist[pairs[-1]]))
+        for i in pairs:
+            d += (alpha[i] - rho[i] * (y_hist[i] @ d)) * s_hist[i]
+        slope = grad @ d
+        step, lo, hi = (1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(d))), 0.0, math.inf
+        for _ in range(MAX_TRIALS):
+            np.add(accepted, np.multiply(d, step, out=s), out=x)
+            new_value, new_grad = fun(x)
+            if not new_value <= value + ARMIJO_C1 * step * slope:
+                hi = step
+            elif new_grad @ d < CURVATURE_C2 * slope:
+                lo = step
+            else:
+                break
+            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        else:
+            raise NumericalError(f"line search found no Wolfe step at iteration {it}")
+        y = new_grad - grad
+        sy = s @ y
+        if sy > 0:                              # holds at a Wolfe step unless rounding intervenes
+            slot = pairs.pop(0) if len(pairs) == MEMORY else len(pairs)
+            s_hist[slot], y_hist[slot], rho[slot] = s, y, 1.0 / sy
+            pairs.append(slot)
+        accepted[:] = x
+        value, grad = new_value, new_grad
+    return {"stop_reason": reason, "iterations": len(trace), "trace": np.array(trace)}
+
+
 def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
     """Fit the angle regressor on a parameter dataset.
 
     Flagged records are excluded; inputs are min/max scaled to [0, 1]; the
-    train/test split uses a seeded shuffle. Returns the model, the per-epoch
-    training-loss trace, and the held-out loss.
+    train/test split uses a seeded shuffle. Returns the model, the training
+    loss at the start of each L-BFGS iteration, the iteration count, why
+    training stopped ("gradient" or "budget"), and the held-out loss.
     """
     config = config or TrainConfig()
     records = [r for r in dataset.records if not r.flag]
@@ -132,23 +195,19 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
 
     sizes = (1, *HIDDEN, y.shape[1])
     weights, biases = _glorot_init(rng, sizes)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-
+    # the weights and biases become views into `theta`, which L-BFGS moves in place
+    arrays = weights + biases
+    theta = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    views = [theta[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    weights, biases = views[:len(weights)], views[len(weights):]
     xt, yt = x[train_idx], y[train_idx]
-    trace = np.empty(config.epochs)
-    last = len(weights) - 1
 
-    for epoch in range(config.epochs):
+    def loss_and_gradient(_):
         loss, grads_w, grads_b = loss_gradients(weights, biases, xt, yt)
-        if not math.isfinite(loss):
-            raise NumericalError(f"non-finite loss at epoch {epoch} (learning rate too high?)")
-        trace[epoch] = loss
-        for k in range(last, -1, -1):
-            vel_w[k] = MOMENTUM * vel_w[k] - config.learning_rate * grads_w[k]
-            vel_b[k] = MOMENTUM * vel_b[k] - config.learning_rate * grads_b[k]
-            weights[k] = weights[k] + vel_w[k]
-            biases[k] = biases[k] + vel_b[k]
+        return loss, np.concatenate([g.ravel() for g in grads_w + grads_b])
+
+    run = lbfgs(loss_and_gradient, theta, config.epochs)
 
     model = MlpModel(
         layer_sizes=sizes,
@@ -166,7 +225,8 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
     final_train, _ = _loss_and_delta(_forward(xt, weights, biases)[-1], yt)
     return {
         "model": model,
-        "train_loss_trace": trace,
+        "train_loss_trace": run.pop("trace"),
+        **run,
         "final_train_loss": final_train,
         "test_loss": test_loss,
         "train_indices": train_idx,

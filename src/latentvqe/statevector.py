@@ -78,38 +78,6 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amp)
 
 
-def _check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
-    dim = matrix.shape[0]
-    if matrix.shape != (dim, dim) or dim not in (2, 4):
-        raise ValueError("gate matrix must be 2x2 or 4x4")
-    resid = matrix.conj().T @ matrix - np.eye(dim)
-    if np.max(np.abs(resid)) > tol:
-        raise ValueError("matrix is not unitary within 1e-10")
-
-
-def apply_gate(state: StateVector, unitary: np.ndarray, targets) -> StateVector:
-    """Apply a 2x2 or 4x4 unitary to the given target qubits.
-
-    For a two-qubit gate, targets = (t0, t1) with t0 the least-significant
-    bit of the 4-dimensional gate basis.
-    """
-    unitary = np.asarray(unitary, dtype=complex)
-    targets = tuple(int(t) for t in (targets if hasattr(targets, "__len__") else [targets]))
-    n = state.n_qubits
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits {targets}")
-    if any(not 0 <= t < n for t in targets):
-        raise ValueError(f"target out of range for {n} qubits: {targets}")
-    _check_unitary(unitary)
-    if unitary.shape[0] != 1 << len(targets):
-        raise ValueError("matrix size does not match target count")
-    if len(targets) == 1:
-        amp = _apply_1q(state.amplitudes, unitary, targets[0], n)
-    else:
-        amp = _apply_2q(state.amplitudes, unitary, targets, n)
-    return StateVector(n, amp)
-
-
 def _apply_1q(amp: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Stride-based 2x2 gate on a vector or (2^n, batch) stack; never builds 2^n x 2^n."""
     batch = amp.shape[1:] if amp.ndim > 1 else ()
@@ -121,19 +89,6 @@ def _apply_1q(amp: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
     out[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
     out[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
     return out.reshape(amp.shape) if batch else out.reshape(-1)
-
-
-def _apply_2q(amp: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
-    t0, t1 = targets
-    m0, m1 = 1 << t0, 1 << t1
-    idx = np.arange(1 << n)
-    base = idx[(idx & m0 == 0) & (idx & m1 == 0)]
-    rows = np.stack([amp[base], amp[base | m0], amp[base | m1], amp[base | m0 | m1]])
-    new = u @ rows.reshape(4, -1)
-    new = new.reshape(rows.shape)
-    out = amp.copy()
-    out[base], out[base | m0], out[base | m1], out[base | m0 | m1] = new
-    return out
 
 
 def _pauli_action(ops: str, dim: int):
@@ -192,13 +147,6 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
 def fidelity_with_zero(rho: DensityMatrix) -> float:
     """<0...0|rho|0...0>, the top-left entry's real part."""
     return float(rho.entries[0, 0].real)
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("overlap requires equal qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def pauli_sum_matrix(terms, n_qubits: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from latentvqe.optimize import (
 from latentvqe.qae import qae_from_json, reconstruct, trash_cost, training_states_for
 from latentvqe.rng import named_rng
 from latentvqe.statevector import (
-    PauliString, StateVector, expectation, overlap, zero_state,
+    PauliString, StateVector, expectation, zero_state,
 )
 
 CHEMICAL_ACCURACY = 1.59e-3

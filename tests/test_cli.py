@@ -187,6 +187,33 @@ class TestNnTrainCli:
                    "--out", tmp_path / "nn.json")
         assert code == EXIT_NUMERICAL
 
+    @staticmethod
+    def smooth_dataset(tmp_path):
+        lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\": 0}",
+                 "bond_length,energy,oracle_energy,flag,theta_0,theta_1"]
+        for r in np.linspace(0.5, 1.5, 22):
+            lines.append(f"{r:.17g},-1.0,-1.0,0,{np.sin(r):.17g},{0.3 * r:.17g}")
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        return dataset
+
+    def test_manifest_records_stop_reason(self, tmp_path, capsys):
+        out = tmp_path / "nn.json"
+        assert run("nn", "train", "--dataset", self.smooth_dataset(tmp_path), "--epochs", 5,
+                   "--out", out) == EXIT_OK
+        manifest = json.loads((tmp_path / "nn.json.manifest.json").read_text())
+        assert manifest["config"] == {"epochs": 5, "train_fraction": 0.7}
+        assert manifest["result"] == {"iterations": 5, "stop_reason": "budget"}
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0].startswith("final train loss: ") and len(stdout[0].split(";")) == 2
+        assert stdout[1] == "stopped on budget after 5 iterations"
+
+    def test_learning_rate_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run("nn", "train", "--dataset", self.smooth_dataset(tmp_path), "--lr", 0.1,
+                "--out", tmp_path / "nn.json")
+        assert err.value.code == EXIT_USAGE
+
     @pytest.mark.parametrize("truncation", ["schema_line_only", "short_row"])
     def test_truncated_dataset_is_upstream_error(self, tmp_path, truncation):
         lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\":0}"]

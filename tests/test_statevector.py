@@ -5,13 +5,68 @@ from latentvqe.circuit import (
     Circuit, Gate, Param, gate_matrix, simulate, swap_test_circuit, u3_matrix,
 )
 from latentvqe.statevector import (
-    DensityMatrix, PauliString, StateVector, apply_gate, expectation,
-    fidelity_with_zero, overlap, partial_trace, zero_state,
+    DensityMatrix, PauliString, StateVector, _apply_1q, expectation, fidelity_with_zero,
+    partial_trace, zero_state,
 )
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 CNOT01 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
 # targets (0, 1): basis index = bit(q0) + 2*bit(q1); control q0 set flips q1.
+
+
+# Reference gate application and overlap; the package applies gates through
+# compiled plans (circuit.apply_circuit) and the stride kernel _apply_1q.
+
+def _check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
+    dim = matrix.shape[0]
+    if matrix.shape != (dim, dim) or dim not in (2, 4):
+        raise ValueError("gate matrix must be 2x2 or 4x4")
+    resid = matrix.conj().T @ matrix - np.eye(dim)
+    if np.max(np.abs(resid)) > tol:
+        raise ValueError("matrix is not unitary within 1e-10")
+
+
+def _apply_2q(amp: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
+    t0, t1 = targets
+    m0, m1 = 1 << t0, 1 << t1
+    idx = np.arange(1 << n)
+    base = idx[(idx & m0 == 0) & (idx & m1 == 0)]
+    rows = np.stack([amp[base], amp[base | m0], amp[base | m1], amp[base | m0 | m1]])
+    new = u @ rows.reshape(4, -1)
+    new = new.reshape(rows.shape)
+    out = amp.copy()
+    out[base], out[base | m0], out[base | m1], out[base | m0 | m1] = new
+    return out
+
+
+def apply_gate(state: StateVector, unitary: np.ndarray, targets) -> StateVector:
+    """Apply a 2x2 or 4x4 unitary to the given target qubits.
+
+    For a two-qubit gate, targets = (t0, t1) with t0 the least-significant
+    bit of the 4-dimensional gate basis.
+    """
+    unitary = np.asarray(unitary, dtype=complex)
+    targets = tuple(int(t) for t in (targets if hasattr(targets, "__len__") else [targets]))
+    n = state.n_qubits
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target qubits {targets}")
+    if any(not 0 <= t < n for t in targets):
+        raise ValueError(f"target out of range for {n} qubits: {targets}")
+    _check_unitary(unitary)
+    if unitary.shape[0] != 1 << len(targets):
+        raise ValueError("matrix size does not match target count")
+    if len(targets) == 1:
+        amp = _apply_1q(state.amplitudes, unitary, targets[0], n)
+    else:
+        amp = _apply_2q(state.amplitudes, unitary, targets, n)
+    return StateVector(n, amp)
+
+
+def overlap(a: StateVector, b: StateVector) -> complex:
+    """<a|b>."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("overlap requires equal qubit counts")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def random_state(rng, n):
