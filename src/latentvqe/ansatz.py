@@ -8,53 +8,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .circuit import Circuit, Gate, Param
 from .hamiltonian import _ladder, _op_product
-
-FAMILIES = ("UCCSD_H2", "EFFICIENT_SU2", "STRONGLY_ENTANGLING", "QAE_ENCODER")
-
-
-@dataclass(frozen=True)
-class AnsatzSpec:
-    family: str
-    n_qubits: int
-    reps_or_layers: int = 1
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown ansatz family {self.family!r}")
-        if self.family == "UCCSD_H2" and self.n_qubits != 4:
-            raise ValueError("UCCSD_H2 is defined on 4 qubits")
-        if self.family in ("STRONGLY_ENTANGLING", "QAE_ENCODER") and self.n_qubits < 2:
-            raise ValueError(f"{self.family} needs at least 2 qubits")
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_qubits": self.n_qubits,
-            "reps_or_layers": self.reps_or_layers,
-            "options": dict(self.options),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "AnsatzSpec":
-        return AnsatzSpec(
-            doc["family"], int(doc["n_qubits"]), int(doc["reps_or_layers"]),
-            dict(doc.get("options", {})),
-        )
-
-
-def build_ansatz(spec: AnsatzSpec) -> Circuit:
-    if spec.family == "UCCSD_H2":
-        return uccsd_h2()
-    if spec.family == "EFFICIENT_SU2":
-        return efficient_su2(spec.n_qubits, spec.reps_or_layers)
-    if spec.family == "STRONGLY_ENTANGLING":
-        return strongly_entangling(spec.n_qubits, spec.reps_or_layers)
-    return qae_encoder(spec.n_qubits, spec.reps_or_layers)
 
 
 def strongly_entangling(n_qubits: int, layers: int) -> Circuit:

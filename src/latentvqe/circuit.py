@@ -337,8 +337,12 @@ class Plan:
         self._offsets = np.array([p.offset for p in table])
 
     def angles(self, params) -> np.ndarray:
-        """Every free gate's angles in step order; raises ValueError unless all are finite."""
-        angles = self._coeffs * np.asarray(params, dtype=float)[self._slots] + self._offsets
+        """Every free gate's angles in step order; ValueError unless params is (n_params,)
+        and every angle is finite."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got shape {params.shape}")
+        angles = self._coeffs * params[self._slots] + self._offsets
         if not np.all(np.isfinite(angles)):
             raise ValueError("gate angles must be finite")
         return angles
@@ -417,33 +421,6 @@ def bind_constants(circuit: Circuit, params) -> Circuit:
         for g in circuit.gates
     )
     return Circuit(circuit.n_qubits, gates, 0)
-
-
-def remap_qubits(circuit: Circuit, mapping: dict, n_qubits: int) -> Circuit:
-    """Embed a circuit onto different wires of a (possibly larger) register."""
-    gates = tuple(
-        Gate(g.kind, tuple(mapping[t] for t in g.targets), g.params) for g in circuit.gates
-    )
-    return Circuit(n_qubits, gates, circuit.n_params)
-
-
-def concat(first: Circuit, second: Circuit) -> Circuit:
-    """Gate-list concatenation; the second circuit's slots are shifted up."""
-    if first.n_qubits != second.n_qubits:
-        raise ValueError("cannot concatenate circuits on different qubit counts")
-    shift = first.n_params
-    shifted = tuple(
-        Gate(
-            g.kind,
-            g.targets,
-            tuple(
-                Param(None if p.slot is None else p.slot + shift, p.coeff, p.offset)
-                for p in g.params
-            ),
-        )
-        for g in second.gates
-    )
-    return Circuit(first.n_qubits, first.gates + shifted, first.n_params + second.n_params)
 
 
 # --- serialization ---------------------------------------------------------

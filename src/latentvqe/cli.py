@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .ansatz import build_ansatz, efficient_su2, uccsd_h2
+from .ansatz import efficient_su2, uccsd_h2
 from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .circuit import resource_counts
 from .hamiltonian import (
@@ -30,8 +30,8 @@ from .hamiltonian import (
     hamiltonian_from_json, hamiltonian_to_dict,
 )
 from .optimize import (
-    NumericalError, OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
-    dataset_to_csv, optimize_vqe, staged_gate_optimize,
+    LATENT_PQC_SPEC, NumericalError, OptimizerConfig, StepConstraint, constrained_sweep,
+    dataset_from_csv, dataset_to_csv, optimize_vqe, staged_gate_optimize,
 )
 from .qae import (
     LATENT_PQC, QaeTrainingError, latent_vqe_circuit, qae_from_json, qae_to_dict, train_qae,
@@ -193,7 +193,7 @@ def cmd_vqe_run(args) -> int:
             raise UpstreamArtifactError(f"hamiltonian at R={bond} acts on {h.n_qubits} "
                                         f"qubits, the {args.ansatz} circuit on {circuit.n_qubits}")
     # the latent circuit counts only its PQC; the decoder is frozen
-    counts = resource_counts(build_ansatz(LATENT_PQC) if args.ansatz == "latent" else circuit)
+    counts = resource_counts(LATENT_PQC if args.ansatz == "latent" else circuit)
 
     method = "staged" if args.ansatz == "latent" else "nm"
     results = []
@@ -281,7 +281,7 @@ def cmd_dataset_generate(args) -> int:
 
     dataset = constrained_sweep(
         circuit, hams, anchor_idx, best["params"],
-        StepConstraint(alpha=args.alpha, gamma=args.gamma), _STAGED, pqc_spec=LATENT_PQC,
+        StepConstraint(alpha=args.alpha, gamma=args.gamma), _STAGED, pqc_spec=LATENT_PQC_SPEC,
     )
     out = Path(args.out)
     _write(out, dataset_to_csv(dataset))
@@ -320,11 +320,14 @@ def cmd_nn_train(args) -> int:
 def cmd_nn_eval(args) -> int:
     t0 = time.time()
     model = _read_artifact(Path(args.model), mlp.model_from_json, "MLP model")
+    if model.layer_sizes[-1] != LATENT_PQC.n_params:
+        raise UpstreamArtifactError(f"MLP model {args.model} predicts {model.layer_sizes[-1]} "
+                                    f"angles; the latent PQC takes {LATENT_PQC.n_params}")
     qmodel = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
     grid = args.grid
     ev = mlp.evaluate_energy_mae(model, qmodel, [float(r) for r in grid])
 
-    pqc_counts = resource_counts(build_ansatz(LATENT_PQC))
+    pqc_counts = resource_counts(LATENT_PQC)
     lines = ["bond_length,energy,oracle_energy,abs_error"]
     for p in ev["per_point_errors"]:
         lines.append(

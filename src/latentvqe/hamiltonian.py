@@ -50,7 +50,7 @@ class QubitHamiltonian:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix, built on first use, once per object; read-only."""
+        """Dense 2^n x 2^n matrix, qubit 0 least significant; built on first use, read-only."""
         m = pauli_sum_matrix(self.terms, self.n_qubits)
         m.flags.writeable = False
         return m
@@ -276,12 +276,6 @@ def hamiltonian_for_distance(bond_length: float) -> QubitHamiltonian:
     return build_qubit_hamiltonian(sto3g_integrals(bond_length))
 
 
-def dense_matrix(hamiltonian: QubitHamiltonian) -> np.ndarray:
-    """Dense 2^n x 2^n matrix (read-only, cached on the object); qubit 0 is the
-    least-significant kron factor."""
-    return hamiltonian.matrix
-
-
 # --- exact diagonalization oracle -------------------------------------------
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
@@ -340,7 +334,7 @@ def exact_ground_energy(hamiltonian: QubitHamiltonian) -> dict:
     """Lowest eigenvalue and eigenvector of the dense Hamiltonian matrix."""
     if hamiltonian.n_qubits > 6:
         raise ValueError("dense diagonalization is limited to 6 qubits")
-    evals, evecs = jacobi_eigh(dense_matrix(hamiltonian))
+    evals, evecs = jacobi_eigh(hamiltonian.matrix)
     vec = evecs[:, 0]
     # Deterministic global phase: largest-magnitude component real positive.
     k = int(np.argmax(np.abs(vec)))

@@ -36,16 +36,21 @@ class MlpModel:
     biases: tuple[np.ndarray, ...]
     input_min: float
     input_max: float
-    activation: str = "tanh"
     seed: int = 0
     dataset_hash: str = ""
 
     def __post_init__(self):
         if self.input_min >= self.input_max:
             raise ValueError("input normalization range must have min < max")
-        for k, w in enumerate(self.weights):
+        if self.layer_sizes[:1] != (1,):
+            raise ValueError("the network takes one input, the bond length")
+        if not len(self.weights) == len(self.biases) == len(self.layer_sizes) - 1:
+            raise ValueError("need one weight matrix and one bias vector per layer")
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.layer_sizes[k], self.layer_sizes[k + 1]):
                 raise ValueError("weight shape mismatch with layer sizes")
+            if b.shape != (self.layer_sizes[k + 1],):
+                raise ValueError("bias shape mismatch with layer sizes")
 
 
 @dataclass(frozen=True)
@@ -279,7 +284,7 @@ def model_to_dict(model: MlpModel) -> dict:
         "layer_sizes": list(model.layer_sizes),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "activation": model.activation,
+        "activation": "tanh",
         "input_normalization": {"min": model.input_min, "max": model.input_max},
         "seed": model.seed,
         "dataset_hash": model.dataset_hash,
@@ -288,13 +293,15 @@ def model_to_dict(model: MlpModel) -> dict:
 
 def model_from_dict(doc: dict) -> MlpModel:
     require_schema(doc, "model")
+    # _forward computes tanh hidden layers only
+    if doc["activation"] != "tanh":
+        raise ValueError(f"unsupported activation {doc['activation']!r}; only 'tanh' is computed")
     return MlpModel(
         layer_sizes=tuple(doc["layer_sizes"]),
         weights=tuple(np.array(w) for w in doc["weights"]),
         biases=tuple(np.array(b) for b in doc["biases"]),
         input_min=float(doc["input_normalization"]["min"]),
         input_max=float(doc["input_normalization"]["max"]),
-        activation=doc["activation"],
         seed=int(doc["seed"]),
         dataset_hash=doc["dataset_hash"],
     )

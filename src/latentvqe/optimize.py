@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec
 from .artifacts import SCHEMA_VERSION, canonical_json
 from .circuit import Circuit, ConstantStep, Gate, apply_circuit, gate_matrix
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
@@ -434,13 +433,22 @@ class DatasetRecord:
         return self.energy - self.oracle_energy
 
 
+# qae.LATENT_PQC, strongly_entangling(2, 1), as the dataset CSV meta line names it
+LATENT_PQC_SPEC = {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 1,
+                   "options": {}}
+
+
 @dataclass(frozen=True)
 class ParameterDataset:
     records: tuple[DatasetRecord, ...]
     anchor_index: int
-    pqc_spec: AnsatzSpec | None = None
+    pqc_spec: dict | None = None    # LATENT_PQC_SPEC, or None for angles of no named PQC
 
     def __post_init__(self):
+        if self.pqc_spec is not None and (canonical_json(self.pqc_spec)
+                                          != canonical_json(LATENT_PQC_SPEC)):
+            raise ValueError(f"unknown pqc_spec {self.pqc_spec!r}; the only PQC is "
+                             f"{LATENT_PQC_SPEC!r}")
         lengths = {r.angles.size for r in self.records}
         if len(lengths) > 1:
             raise ValueError("records carry angle vectors of different lengths")
@@ -495,7 +503,7 @@ def constrained_sweep(
     anchor_params,
     constraint: StepConstraint,
     config: OptimizerConfig | None = None,
-    pqc_spec: AnsatzSpec | None = None,
+    pqc_spec: dict | None = None,
 ) -> ParameterDataset:
     """Walk the bond-length grid outward from a fully optimized anchor.
 
@@ -566,7 +574,7 @@ def _fmt(x: float) -> str:
 def dataset_to_csv(dataset: ParameterDataset) -> str:
     meta = {"anchor_index": dataset.anchor_index}
     if dataset.pqc_spec is not None:
-        meta["pqc_spec"] = dataset.pqc_spec.to_dict()
+        meta["pqc_spec"] = dataset.pqc_spec
     lines = [f"# {DATASET_SCHEMA} {canonical_json(meta)}"]
     p = dataset.n_params
     lines.append(",".join(
@@ -599,5 +607,4 @@ def dataset_from_csv(text: str) -> ParameterDataset:
             float(cells[2]),
             bool(int(cells[3])),
         ))
-    spec = AnsatzSpec.from_dict(meta["pqc_spec"]) if "pqc_spec" in meta else None
-    return ParameterDataset(tuple(records), int(meta["anchor_index"]), spec)
+    return ParameterDataset(tuple(records), int(meta["anchor_index"]), meta.get("pqc_spec"))

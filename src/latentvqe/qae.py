@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_ansatz, qae_encoder
+from .ansatz import qae_encoder, strongly_entangling
 from .artifacts import SCHEMA_VERSION, require_schema
 from .circuit import (
-    Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, concat,
-    inverse, remap_qubits, simulate,
+    Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, inverse, simulate,
 )
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from .optimize import OptimizerConfig, adam_minimize, batched_energies, batched_shift_gradient
@@ -28,7 +27,7 @@ from .statevector import (
 LATENT_QUBITS = (0, 1)
 TRASH_QUBITS = (2, 3)
 # the 12-parameter PQC that the latent VQE optimizes on LATENT_QUBITS
-LATENT_PQC = AnsatzSpec("STRONGLY_ENTANGLING", len(LATENT_QUBITS), 1)
+LATENT_PQC = strongly_entangling(len(LATENT_QUBITS), 1)
 DEFAULT_TRAINING_BOND_LENGTHS = (0.4, 0.7, 1.0, 1.5, 2.0, 2.5)
 
 
@@ -155,14 +154,15 @@ def latent_vqe_circuit(model: QaeModel, pqc: Circuit | None = None) -> Circuit:
 
     The PQC defaults to LATENT_PQC, the one the pipeline optimizes.
     """
-    if pqc is None:
-        pqc = build_ansatz(LATENT_PQC)
+    pqc = LATENT_PQC if pqc is None else pqc
     if pqc.n_qubits != len(LATENT_QUBITS):
         raise ValueError(
             f"PQC acts on {pqc.n_qubits} qubits but the latent space has {len(LATENT_QUBITS)}"
         )
-    embedded = remap_qubits(pqc, dict(enumerate(LATENT_QUBITS)), model.encoder.n_qubits)
-    return concat(embedded, decoder_circuit(model))
+    # the PQC's wires 0, 1 are the latent wires as they stand, since LATENT_QUBITS == (0, 1),
+    # and the frozen decoder reads no parameter slot
+    decoder = decoder_circuit(model)
+    return Circuit(decoder.n_qubits, pqc.gates + decoder.gates, pqc.n_params)
 
 
 def reconstruct(model: QaeModel, state: StateVector) -> StateVector:

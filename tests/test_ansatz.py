@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from latentvqe.ansatz import (
-    AnsatzSpec, build_ansatz, efficient_su2, qae_encoder, strongly_entangling, uccsd_h2,
-)
+from latentvqe.ansatz import efficient_su2, qae_encoder, strongly_entangling, uccsd_h2
 from latentvqe.circuit import resource_counts, simulate
 from latentvqe.hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from latentvqe.optimize import OptimizerConfig, optimize_vqe
@@ -115,23 +113,3 @@ class TestQaeEncoder:
 
         enc = qae_encoder(4, 2)
         assert trash_cost(enc, np.zeros(48), [zero_state(4)]) == pytest.approx(0.0, abs=1e-14)
-
-
-class TestAnsatzSpec:
-    def test_dispatch(self):
-        assert build_ansatz(AnsatzSpec("UCCSD_H2", 4)).n_params == 3
-        assert build_ansatz(AnsatzSpec("EFFICIENT_SU2", 4, 3)).n_params == 32
-        assert build_ansatz(AnsatzSpec("STRONGLY_ENTANGLING", 2, 1)).n_params == 12
-        assert build_ansatz(AnsatzSpec("QAE_ENCODER", 4, 2)).n_params == 48
-
-    def test_family_constraints(self):
-        with pytest.raises(ValueError):
-            AnsatzSpec("UCCSD_H2", 6)
-        with pytest.raises(ValueError):
-            AnsatzSpec("STRONGLY_ENTANGLING", 1)
-        with pytest.raises(ValueError):
-            AnsatzSpec("NOT_A_FAMILY", 4)
-
-    def test_round_trip(self):
-        spec = AnsatzSpec("STRONGLY_ENTANGLING", 2, 1)
-        assert AnsatzSpec.from_dict(spec.to_dict()) == spec

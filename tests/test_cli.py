@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from latentvqe import mlp
 from latentvqe.ansatz import qae_encoder
 from latentvqe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, main
 from latentvqe.qae import QaeModel, qae_to_dict
@@ -214,6 +215,15 @@ class TestNnTrainCli:
                 "--out", tmp_path / "nn.json")
         assert err.value.code == EXIT_USAGE
 
+    def test_unknown_pqc_spec_is_upstream_error(self, tmp_path):
+        dataset = self.smooth_dataset(tmp_path)
+        lines = dataset.read_text().splitlines()
+        lines[0] = ('# latentvqe/1 parameter-dataset {"anchor_index":0,"pqc_spec":{"family":'
+                    '"EFFICIENT_SU2","n_qubits":2,"options":{},"reps_or_layers":1}}')
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
+
     @pytest.mark.parametrize("truncation", ["schema_line_only", "short_row"])
     def test_truncated_dataset_is_upstream_error(self, tmp_path, truncation):
         lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\":0}"]
@@ -223,6 +233,44 @@ class TestNnTrainCli:
         dataset.write_text("\n".join(lines) + "\n")
         code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
         assert code == EXIT_UPSTREAM
+
+
+def mlp_doc(width):
+    rng = np.random.default_rng(width)
+    sizes = (1, 8, width)
+    model = mlp.MlpModel(sizes, tuple(rng.normal(size=p) for p in zip(sizes, sizes[1:])),
+                         tuple(np.zeros(n) for n in sizes[1:]), 0.5, 2.0)
+    return mlp.model_to_dict(model)
+
+
+class TestNnEvalCli:
+    @staticmethod
+    def evaluate(tmp_path, qae_doc, model_doc):
+        qae_path, nn_path = tmp_path / "qae.json", tmp_path / "nn.json"
+        qae_path.write_text(json.dumps(qae_doc))
+        nn_path.write_text(json.dumps(model_doc))
+        return run("nn", "eval", "--model", nn_path, "--qae", qae_path, "--grid", "0.6:1.2:3",
+                   "--out", tmp_path / "eval.csv")
+
+    def test_latent_pqc_width_is_evaluated(self, qae_doc, tmp_path):
+        assert self.evaluate(tmp_path, qae_doc, mlp_doc(12)) == EXIT_OK
+        assert len((tmp_path / "eval.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("width", [3, 14])
+    def test_wrong_output_width_is_upstream_error(self, qae_doc, tmp_path, capsys, width):
+        # 3 angles used to end in an IndexError, 14 in an eval of the first 12
+        assert self.evaluate(tmp_path, qae_doc, mlp_doc(width)) == EXIT_UPSTREAM
+        assert f"predicts {width} angles" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
+    @pytest.mark.parametrize("malform", ["short_last_bias", "relu_activation"])
+    def test_malformed_model_is_upstream_error(self, qae_doc, tmp_path, malform):
+        doc = mlp_doc(12)
+        if malform == "short_last_bias":
+            doc["biases"][-1] = [0.0]   # would broadcast over all 12 outputs
+        else:
+            doc["activation"] = "relu"
+        assert self.evaluate(tmp_path, qae_doc, doc) == EXIT_UPSTREAM
 
 
 class TestReport:

@@ -9,7 +9,7 @@ from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
     _STO3G_COEFFS, _STO3G_EXPONENTS, ANGSTROM_TO_BOHR, COEFF_PRUNE_TOL, JacobiConvergenceError,
     QubitHamiltonian, _boys_f0, _ladder, _op_product, _prim_norm, _transform_eri,
-    build_qubit_hamiltonian, dense_matrix, exact_ground_energy, hamiltonian_for_distance,
+    build_qubit_hamiltonian, exact_ground_energy, hamiltonian_for_distance,
     hamiltonian_from_json, hamiltonian_to_dict, jacobi_eigh, jordan_wigner_terms,
     sto3g_integrals,
 )
@@ -189,7 +189,7 @@ class TestAgainstReferenceBuild:
         ints = sto3g_integrals(r)
         h_so, v_so = spin_orbital_tensors(ints.h_mo, ints.g_mo)
         fock = fock_space_matrix(h_so, v_so, ints.e_nuclear)
-        assert np.max(np.abs(dense_matrix(hamiltonian_for_distance(r)) - fock)) < 1e-12
+        assert np.max(np.abs(hamiltonian_for_distance(r).matrix - fock)) < 1e-12
 
     def test_cached_tables_survive_other_distances(self):
         first = hamiltonian_for_distance(0.6)
@@ -197,12 +197,12 @@ class TestAgainstReferenceBuild:
         third = hamiltonian_for_distance(0.6)
         assert [(t.ops, t.coefficient) for t in first.terms] == \
             [(t.ops, t.coefficient) for t in third.terms]
-        np.testing.assert_array_equal(dense_matrix(first), dense_matrix(third))
+        np.testing.assert_array_equal(first.matrix, third.matrix)
 
     def test_dense_matrix_built_once_and_read_only(self):
         h = hamiltonian_for_distance(1.1)
-        m = dense_matrix(h)
-        assert dense_matrix(h) is m and h.matrix is m
+        m = h.matrix
+        assert h.matrix is m
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
@@ -251,7 +251,7 @@ class TestQubitHamiltonian:
         assert c1["IIII"] - c0["IIII"] == pytest.approx(0.25, abs=1e-14)
 
     def test_dense_matrix_hermitian(self):
-        m = dense_matrix(hamiltonian_for_distance(1.1))
+        m = hamiltonian_for_distance(1.1).matrix
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
 
@@ -297,7 +297,7 @@ class TestScipyCrossCheck:
         scipy_linalg = pytest.importorskip("scipy.linalg")
         for r in np.linspace(0.3, 2.85, 100):
             h = hamiltonian_for_distance(float(r))
-            lowest = scipy_linalg.eigh(dense_matrix(h), eigvals_only=True)[0]
+            lowest = scipy_linalg.eigh(h.matrix, eigvals_only=True)[0]
             assert exact_ground_energy(h)["energy"] == pytest.approx(lowest, abs=1e-10)
 
 

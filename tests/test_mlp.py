@@ -1,7 +1,8 @@
+import json
+
 import numpy as np
 import pytest
 
-from latentvqe.ansatz import AnsatzSpec
 from latentvqe.mlp import (
     GRADIENT_TOL, MEMORY, MlpModel, TrainConfig, _forward, circular_loss, lbfgs,
     loss_gradients, model_from_json, model_to_json, predict, train,
@@ -19,7 +20,7 @@ def make_dataset(n=40, n_angles=4, fn=None, seed=0):
         else:
             angles = fn(x)
         records.append(DatasetRecord(float(x), angles, -1.0 + 1e-9, -1.0, False))
-    return ParameterDataset(tuple(records), n // 2, AnsatzSpec("STRONGLY_ENTANGLING", 2, 1))
+    return ParameterDataset(tuple(records), n // 2)
 
 
 class TestCircularLoss:
@@ -231,10 +232,36 @@ class TestSerialization:
         assert np.array_equal(predict(back, 1.1), predict(model, 1.1))
 
     def test_schema_mismatch(self):
-        import json
-
         model = train(make_dataset(), TrainConfig(epochs=50))["model"]
         doc = json.loads(model_to_json(model))
         doc["schema_version"] = "x"
         with pytest.raises(ValueError, match="schema"):
+            model_from_json(json.dumps(doc))
+
+    @staticmethod
+    def small_doc():
+        rng = np.random.default_rng(0)
+        sizes = (1, 4, 3)
+        model = MlpModel(sizes, tuple(rng.normal(size=p) for p in zip(sizes, sizes[1:])),
+                         tuple(np.zeros(n) for n in sizes[1:]), 0.5, 1.5)
+        return json.loads(model_to_json(model))
+
+    @pytest.mark.parametrize("malform", ["relu_activation", "short_last_bias", "bias_missing",
+                                         "extra_weight", "two_inputs"])
+    def test_malformed_model_rejected(self, malform):
+        doc = self.small_doc()
+        assert doc["activation"] == "tanh"
+        model_from_json(json.dumps(doc))
+        if malform == "relu_activation":
+            doc["activation"] = "relu"     # _forward computes tanh only
+        elif malform == "short_last_bias":
+            doc["biases"][-1] = [0.0]
+        elif malform == "bias_missing":
+            doc["biases"].pop()
+        elif malform == "extra_weight":
+            doc["weights"].append([[0.0]] * 3)
+        else:
+            doc["layer_sizes"][0] = 2
+            doc["weights"][0] *= 2
+        with pytest.raises(ValueError, match="activation|shape|layer|input"):
             model_from_json(json.dumps(doc))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from latentvqe.ansatz import AnsatzSpec, strongly_entangling
+from latentvqe.ansatz import strongly_entangling
+from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import Circuit, Gate, Param, u3_matrix
 from latentvqe.hamiltonian import QubitHamiltonian, exact_ground_energy
 from latentvqe.optimize import (
-    DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
+    LATENT_PQC_SPEC, DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
     batched_shift_gradient, constrained_sweep, dataset_from_csv, dataset_to_csv,
     energy_fn, first_step_delta, minimize, optimize_vqe, parameter_shift_gradient,
     staged_gate_optimize,
@@ -344,7 +345,7 @@ class TestConstrainedSweep:
         ds = constrained_sweep(
             circuit, hams, anchor_idx, best["params"], StepConstraint(0.5, 0.05),
             OptimizerConfig(tolerance=1e-11, max_iterations=300),
-            pqc_spec=AnsatzSpec("STRONGLY_ENTANGLING", 2, 1),
+            pqc_spec=LATENT_PQC_SPEC,
         )
         return ds, hams, anchor_idx
 
@@ -407,7 +408,7 @@ class TestDatasetCsv:
                           -1.0 + 1e-8, -1.0, False)
             for i in range(5)
         )
-        ds = ParameterDataset(records, 2, AnsatzSpec("STRONGLY_ENTANGLING", 2, 1))
+        ds = ParameterDataset(records, 2, LATENT_PQC_SPEC)
         text = dataset_to_csv(ds)
         back = dataset_from_csv(text)
         assert back.anchor_index == 2
@@ -426,6 +427,25 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="variational"):
             ParameterDataset(
                 (DatasetRecord(0.5, np.zeros(3), -2.0, -1.0, False),), 0, None)
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "EFFICIENT_SU2", "n_qubits": 2, "reps_or_layers": 1, "options": {}},
+        {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 2, "options": {}},
+        {"family": "STRONGLY_ENTANGLING", "n_qubits": 2.0, "reps_or_layers": 1, "options": {}},
+        {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 1},
+        "STRONGLY_ENTANGLING",
+    ], ids=["other_family", "two_layers", "float_width", "no_options", "bare_string"])
+    def test_only_the_latent_pqc_spec_is_read(self, spec):
+        ds = ParameterDataset((DatasetRecord(0.5, np.zeros(12), -1.0, -1.0, False),), 0,
+                              LATENT_PQC_SPEC)
+        text = dataset_to_csv(ds)
+        assert text.splitlines()[0] == (
+            '# latentvqe/1 parameter-dataset {"anchor_index":0,"pqc_spec":{"family":'
+            '"STRONGLY_ENTANGLING","n_qubits":2,"options":{},"reps_or_layers":1}}')
+        assert dataset_from_csv(text).pqc_spec == LATENT_PQC_SPEC
+        bad = text.replace(canonical_json(LATENT_PQC_SPEC), canonical_json(spec))
+        with pytest.raises(ValueError, match="pqc_spec"):
+            dataset_from_csv(bad)
 
     def test_schema_line_required(self):
         with pytest.raises(ValueError, match="schema"):

@@ -97,6 +97,16 @@ def test_non_finite_parameters_rejected(bad):
             parameter_shift_gradient(circuit, h, params, zero_state(4))
 
 
+@pytest.mark.parametrize("shape", [(3,), (11,), (13,), (1, 12), ()])
+def test_parameter_shape_must_match_the_circuit(shape):
+    # the latent circuit reads slots 0-11 only; too long a vector used to pass
+    # silently and too short a one to end in an IndexError
+    plan = compile_plan(latent_circuit())
+    with pytest.raises(ValueError, match="12 parameters"):
+        plan.angles(np.zeros(shape))
+    assert plan.angles(np.zeros(12)).shape == (12,)
+
+
 @pytest.mark.parametrize("name", ["uccsd", "su2", "latent"])
 def test_energy_fn_matches_pauli_string_expectation(name):
     circuit = CIRCUITS[name]()

@@ -5,9 +5,9 @@ from latentvqe.ansatz import qae_encoder, strongly_entangling
 from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import Circuit, resource_counts, simulate
 from latentvqe.hamiltonian import exact_ground_energy, hamiltonian_for_distance
-from latentvqe.optimize import OptimizerConfig, adam_minimize
+from latentvqe.optimize import LATENT_PQC_SPEC, OptimizerConfig, adam_minimize
 from latentvqe.qae import (
-    QaeModel, QaeTrainingError, _batched_trash_cost_fn, decoder_circuit,
+    LATENT_PQC, QaeModel, QaeTrainingError, _batched_trash_cost_fn, decoder_circuit,
     latent_vqe_circuit, qae_from_json, qae_to_dict, reconstruct, train_qae,
     training_states_for, trash_cost,
 )
@@ -114,6 +114,12 @@ class TestLatentVqeCircuit:
         circ = latent_vqe_circuit(trained_model, strongly_entangling(2, 1))
         assert circ.n_params == 12
         assert resource_counts(strongly_entangling(2, 1))["n_gates"] == 6
+
+    def test_default_pqc_is_the_one_datasets_name(self, trained_model):
+        assert LATENT_PQC_SPEC["family"] == "STRONGLY_ENTANGLING"
+        assert LATENT_PQC == strongly_entangling(LATENT_PQC_SPEC["n_qubits"],
+                                                 LATENT_PQC_SPEC["reps_or_layers"])
+        assert latent_vqe_circuit(trained_model) == latent_vqe_circuit(trained_model, LATENT_PQC)
 
     def test_qubit_count_mismatch_rejected(self, trained_model):
         with pytest.raises(ValueError):
