@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .artifacts import SCHEMA_VERSION, require_schema
+from .artifacts import SCHEMA_VERSION
 from .statevector import StateVector, _apply_1q
 
 PARAM_ARITY = {"U3": 3, "U1": 1, "RY": 1, "RZ": 1, "H": 0, "X": 0, "CNOT": 0}
@@ -442,22 +442,6 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "n_params": circuit.n_params,
         "gates": gates,
     }
-
-
-def circuit_from_dict(doc: dict) -> Circuit:
-    require_schema(doc, "circuit")
-    gates = []
-    for rec in doc["gates"]:
-        arity = PARAM_ARITY[rec["kind"]]
-        slots = rec.get("slots", [None] * arity)
-        coeffs = rec.get("coeffs", [1.0] * arity)
-        offsets = rec.get("offsets", [0.0] * arity)
-        params = tuple(
-            Param(s, c if s is not None else 0.0, o)
-            for s, c, o in zip(slots, coeffs, offsets)
-        )
-        gates.append(Gate(rec["kind"], tuple(rec["targets"]), params))
-    return Circuit(doc["n_qubits"], tuple(gates), doc["n_params"])
 
 
 # --- SWAP-test property-check circuit --------------------------------------

@@ -152,16 +152,13 @@ def _load_ham_points(path: Path):
 
 # --- vqe run -----------------------------------------------------------------
 
-_STAGED = OptimizerConfig(tolerance=1e-11)
-
-
 def _best_staged(circuit, hamiltonian, rng, restarts: int) -> dict:
     """Best of `restarts` staged solves from random starts (ties keep the earlier one)."""
     best = None
     evals = 0
     for _ in range(max(1, restarts)):
         x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-        res = staged_gate_optimize(circuit, hamiltonian, x0, _STAGED)
+        res = staged_gate_optimize(circuit, hamiltonian, x0)
         evals += res["evaluations"]
         if best is None or res["energy"] < best["energy"]:
             best = res
@@ -281,7 +278,7 @@ def cmd_dataset_generate(args) -> int:
 
     dataset = constrained_sweep(
         circuit, hams, anchor_idx, best["params"],
-        StepConstraint(alpha=args.alpha, gamma=args.gamma), _STAGED, pqc_spec=LATENT_PQC_SPEC,
+        StepConstraint(alpha=args.alpha, gamma=args.gamma), pqc_spec=LATENT_PQC_SPEC,
     )
     out = Path(args.out)
     _write(out, dataset_to_csv(dataset))

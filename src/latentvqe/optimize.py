@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ansatz import strongly_entangling
 from .artifacts import SCHEMA_VERSION, canonical_json
 from .circuit import Circuit, ConstantStep, Gate, apply_circuit, gate_matrix
 from .hamiltonian import QubitHamiltonian, exact_ground_energy
@@ -353,13 +354,13 @@ def staged_gate_optimize(
     the second from the 3 x 3 grid of these shifts; each takes the fit's
     minimum on the box, scores it once and keeps it if that energy is <= the
     current one. Sweeps stop when one gains less than config.tolerance
-    (default 1e-9 Hartree), or after _SWEEP_CAP; config.max_iterations is unused.
+    (default 1e-11 Hartree), or after _SWEEP_CAP; config.max_iterations is unused.
 
     Trials are scored as psi^dag K psi: psi is the cached state before the
     gate with the trial gate applied, and K = S^dag H S folds the later gates
     S into the observable (once per sweep, since they have not moved yet).
     """
-    config = config or OptimizerConfig(tolerance=1e-9)
+    config = config or OptimizerConfig(tolerance=1e-11)
     n = circuit.n_qubits
     hmat = _observable(hamiltonian, n)
     amp0 = zero_state(n).amplitudes
@@ -433,7 +434,9 @@ class DatasetRecord:
         return self.energy - self.oracle_energy
 
 
-# qae.LATENT_PQC, strongly_entangling(2, 1), as the dataset CSV meta line names it
+# the 12-parameter PQC that the latent VQE optimizes on the latent wires (qae.LATENT_PQC),
+# and its name on the dataset CSV meta line
+LATENT_PQC = strongly_entangling(2, 1)
 LATENT_PQC_SPEC = {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 1,
                    "options": {}}
 
@@ -452,6 +455,12 @@ class ParameterDataset:
         lengths = {r.angles.size for r in self.records}
         if len(lengths) > 1:
             raise ValueError("records carry angle vectors of different lengths")
+        if self.pqc_spec is not None and self.records and self.n_params != LATENT_PQC.n_params:
+            raise ValueError(f"the latent PQC takes {LATENT_PQC.n_params} angles, the "
+                             f"records carry {self.n_params}")
+        if self.records and not 0 <= self.anchor_index < len(self.records):
+            raise ValueError(f"anchor_index {self.anchor_index} outside the "
+                             f"{len(self.records)} records")
         for r in self.records:
             if r.energy < r.oracle_energy - 1e-10:
                 raise ValueError(
@@ -513,12 +522,12 @@ def constrained_sweep(
     points whose energy error exceeds 100x the anchor's are flagged as
     discontinuity symptoms. delta is the secant theta_{i-1} - theta_{i-2};
     on the first step out of the anchor, where there is no second point, it
-    is the tangent predictor `first_step_delta` at the anchor angles.
+    is the tangent predictor `first_step_delta` at the anchor angles. `config`
+    goes to every staged solve (None: staged_gate_optimize's 1e-11 Hartree stop).
     """
     hamiltonians = list(hamiltonians)
     if not 0 <= anchor_index < len(hamiltonians):
         raise ValueError("anchor index outside the grid")
-    config = config or OptimizerConfig(tolerance=1e-9)
     anchor_params = np.asarray(anchor_params, dtype=float)
 
     oracle = [exact_ground_energy(h)["energy"] for h in hamiltonians]

@@ -13,21 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import qae_encoder, strongly_entangling
-from .artifacts import SCHEMA_VERSION, require_schema
-from .circuit import (
-    Circuit, apply_circuit, bind_constants, circuit_from_dict, circuit_to_dict, inverse, simulate,
-)
+from .ansatz import qae_encoder
+from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
+from .circuit import Circuit, apply_circuit, bind_constants, circuit_to_dict, inverse, simulate
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
-from .optimize import OptimizerConfig, adam_minimize, batched_energies, batched_shift_gradient
-from .statevector import (
-    PauliString, StateVector, fidelity_with_zero, partial_trace, pauli_sum_matrix,
+from .optimize import (
+    LATENT_PQC, OptimizerConfig, adam_minimize, batched_energies, batched_shift_gradient,
 )
+from .statevector import StateVector, partial_trace
 
 LATENT_QUBITS = (0, 1)
 TRASH_QUBITS = (2, 3)
-# the 12-parameter PQC that the latent VQE optimizes on LATENT_QUBITS
-LATENT_PQC = strongly_entangling(len(LATENT_QUBITS), 1)
+# the one encoder: every QaeModel and every qae.json carries exactly this circuit
+ENCODER = qae_encoder(len(LATENT_QUBITS) + len(TRASH_QUBITS), 2)
+_ENCODER_JSON = canonical_json(circuit_to_dict(ENCODER))
 DEFAULT_TRAINING_BOND_LENGTHS = (0.4, 0.7, 1.0, 1.5, 2.0, 2.5)
 
 
@@ -43,41 +42,42 @@ class QaeModel:
     training_bond_lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.encoder.n_qubits != len(LATENT_QUBITS) + len(TRASH_QUBITS):
-            raise ValueError("the encoder must act on the latent and trash qubits")
+        if self.encoder != ENCODER:
+            raise ValueError("the encoder must be qae_encoder(4, 2)")
+        params = self.encoder_params
+        if params.shape != (ENCODER.n_params,) or not np.all(np.isfinite(params)):
+            raise ValueError(f"encoder_params must be {ENCODER.n_params} finite angles, got shape "
+                             f"{params.shape} with {np.sum(~np.isfinite(params))} not finite")
         if not 0.0 <= self.achieved_trash_infidelity <= 1.0:
             raise ValueError("trash infidelity must lie in [0, 1]")
 
 
-def trash_projector(n_qubits: int) -> tuple[PauliString, ...]:
-    """|0..0><0..0| on the trash qubits as a Pauli sum: prod (I + Z_t)/2."""
-    strings = [("I" * n_qubits, 1.0)]
-    for t in TRASH_QUBITS:
-        grown = []
-        for ops, c in strings:
-            grown.append((ops, c * 0.5))
-            grown.append((ops[:t] + "Z" + ops[t + 1:], c * 0.5))
-        strings = grown
-    return tuple(PauliString(ops, c) for ops, c in strings)
+def _trash_empty(n_qubits: int) -> np.ndarray:
+    """Mask of the basis states whose trash qubits all read 0."""
+    mask = sum(1 << t for t in TRASH_QUBITS)
+    return (np.arange(1 << n_qubits) & mask) == 0
 
 
 def trash_cost(encoder: Circuit, encoder_params, training_states) -> float:
-    """Mean over states of 1 - <00|Tr_latent[E rho E+]|00>."""
+    """Mean over states of 1 - <00|Tr_latent[E rho E+]|00>, by partial trace.
+
+    The reference for the batched training cost, which projects with
+    `_trash_empty` instead.
+    """
     training_states = list(training_states)
     if not training_states:
         raise ValueError("empty training set")
     total = 0.0
     for state in training_states:
         encoded = simulate(encoder, encoder_params, state)
-        rho = partial_trace(encoded, TRASH_QUBITS)
-        total += 1.0 - fidelity_with_zero(rho)
+        total += 1.0 - float(partial_trace(encoded, TRASH_QUBITS)[0, 0].real)
     return total / len(training_states)
 
 
 def _batched_trash_cost_fn(encoder: Circuit, states):
-    """Training cost and gradient: all states as columns, projector as a dense matrix."""
+    """Training cost and gradient: all states as columns, the trash projector a diagonal matrix."""
     cols = np.stack([s.amplitudes for s in states], axis=1)
-    proj = pauli_sum_matrix(trash_projector(encoder.n_qubits), encoder.n_qubits)
+    proj = np.diag(_trash_empty(encoder.n_qubits).astype(complex))
 
     def cost(params):
         amp = apply_circuit(cols, encoder, params)
@@ -111,18 +111,17 @@ def train_qae(
     bond_lengths = tuple(float(r) for r in bond_lengths)
     if len(bond_lengths) < 2:
         raise ValueError("need at least 2 training bond lengths")
-    encoder = qae_encoder(4, 2)
     config = config or OptimizerConfig(
         max_iterations=1200, tolerance=1e-13, restarts=20, learning_rate=0.1,
     )
     states = training_states_for(bond_lengths)
-    cost, grad = _batched_trash_cost_fn(encoder, states)
+    cost, grad = _batched_trash_cost_fn(ENCODER, states)
     rng = np.random.default_rng(config.seed)
 
     best_params = None
     best_cost = math.inf
     for _ in range(max(1, config.restarts)):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, encoder.n_params)
+        x0 = rng.uniform(0.0, 2.0 * math.pi, ENCODER.n_params)
         res = adam_minimize(cost, grad, x0, config, stop_below=target / 10.0)
         if res["value"] < best_cost:
             best_cost = res["value"]
@@ -135,9 +134,9 @@ def train_qae(
             f"trash cost {best_cost:.3e} after {config.restarts} restarts; "
             "encoder is not expressive enough"
         )
-    exact_cost = trash_cost(encoder, best_params, states)
+    exact_cost = trash_cost(ENCODER, best_params, states)
     return QaeModel(
-        encoder=encoder,
+        encoder=ENCODER,
         encoder_params=np.asarray(best_params, dtype=float),
         achieved_trash_infidelity=max(exact_cost, 0.0),
         training_bond_lengths=bond_lengths,
@@ -169,9 +168,7 @@ def reconstruct(model: QaeModel, state: StateVector) -> StateVector:
     """Encode, reset the trash register to |00> (post-select), decode."""
     encoded = simulate(model.encoder, model.encoder_params, state)
     amp = encoded.amplitudes.copy()
-    mask = sum(1 << t for t in TRASH_QUBITS)
-    idx = np.arange(amp.size)
-    amp[(idx & mask) != 0] = 0.0
+    amp[~_trash_empty(encoded.n_qubits)] = 0.0
     norm = np.linalg.norm(amp)
     if norm < 1e-12:
         raise ValueError("encoded state has no support on |00> trash")
@@ -200,8 +197,10 @@ def qae_from_dict(doc: dict) -> QaeModel:
         raise ValueError(f"QAE wires must be latent {list(LATENT_QUBITS)} and trash "
                          f"{list(TRASH_QUBITS)}, got {doc['latent_qubits']} and "
                          f"{doc['trash_qubits']}")
+    if canonical_json(doc["encoder"]) != _ENCODER_JSON:
+        raise ValueError("QAE encoder is not qae_encoder(4, 2), the one encoder trained")
     return QaeModel(
-        encoder=circuit_from_dict(doc["encoder"]),
+        encoder=ENCODER,
         encoder_params=np.array(doc["encoder_params"], dtype=float),
         achieved_trash_infidelity=float(doc["achieved_trash_infidelity"]),
         training_bond_lengths=tuple(float(r) for r in doc["training_bond_lengths"]),

@@ -7,7 +7,7 @@ values are exact contractions (no sampling).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,19 +54,6 @@ class PauliString:
     @property
     def n_qubits(self) -> int:
         return len(self.ops)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix over a subset of qubits."""
-
-    n_qubits: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dim = 1 << self.n_qubits
-        if self.entries.shape != (dim, dim):
-            raise ValueError("density matrix shape does not match qubit count")
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -127,7 +114,7 @@ def expectation(state: StateVector, hamiltonian) -> float:
     return float(total.real)
 
 
-def partial_trace(state: StateVector, keep) -> DensityMatrix:
+def partial_trace(state: StateVector, keep) -> np.ndarray:
     """Reduced density matrix over `keep` (ascending qubit order labels the result)."""
     keep = sorted(int(k) for k in keep)
     n = state.n_qubits
@@ -140,13 +127,7 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
     kept_axes = [n - 1 - k for k in reversed(keep)]
     other_axes = [ax for ax in range(n) if ax not in kept_axes]
     mat = np.transpose(tensor, kept_axes + other_axes).reshape(1 << len(keep), -1)
-    rho = mat @ mat.conj().T
-    return DensityMatrix(len(keep), rho)
-
-
-def fidelity_with_zero(rho: DensityMatrix) -> float:
-    """<0...0|rho|0...0>, the top-left entry's real part."""
-    return float(rho.entries[0, 0].real)
+    return mat @ mat.conj().T
 
 
 def pauli_sum_matrix(terms, n_qubits: int) -> np.ndarray:

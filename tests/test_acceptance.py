@@ -28,6 +28,8 @@ from latentvqe.statevector import (
     PauliString, StateVector, expectation, zero_state,
 )
 
+pytestmark = pytest.mark.slow
+
 CHEMICAL_ACCURACY = 1.59e-3
 
 

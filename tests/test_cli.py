@@ -57,6 +57,18 @@ def qae_doc():
     return qae_to_dict(QaeModel(encoder, params, 0.0, (0.5, 1.0)))
 
 
+def malformed_qae(qae_doc, malform):
+    doc = json.loads(json.dumps(qae_doc))
+    if malform == "cnot_reversed":
+        gate = next(g for g in doc["encoder"]["gates"] if g["kind"] == "CNOT")
+        gate["targets"].reverse()
+    elif malform == "47_params":
+        doc["encoder_params"].pop()
+    else:
+        doc["encoder_params"][5] = float("nan")
+    return doc
+
+
 class TestVqeRun:
     def test_uccsd_single_point(self, ham, tmp_path):
         out = tmp_path / "uccsd.json"
@@ -127,6 +139,15 @@ class TestVqeRun:
         code = run("vqe", "run", "--ansatz", "latent", "--ham", ham, "--qae", path,
                    "--out", tmp_path / "x.json")
         assert code == EXIT_UPSTREAM
+
+    @pytest.mark.parametrize("malform", ["cnot_reversed", "47_params", "nan_param"])
+    def test_latent_rejects_malformed_qae(self, ham, qae_doc, tmp_path, capsys, malform):
+        path = tmp_path / "qae.json"
+        path.write_text(json.dumps(malformed_qae(qae_doc, malform)))
+        code = run("vqe", "run", "--ansatz", "latent", "--ham", ham, "--qae", path,
+                   "--out", tmp_path / "x.json")
+        assert code == EXIT_UPSTREAM
+        assert "QAE model" in capsys.readouterr().err
 
     def test_latent_rejects_max_iterations(self, ham, qae_doc, tmp_path, capsys):
         # the flag bounds the uccsd/su2 simplex; the staged latent solve would ignore it
@@ -224,6 +245,25 @@ class TestNnTrainCli:
         code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
         assert code == EXIT_UPSTREAM
 
+    def test_latent_pqc_spec_with_wrong_width_is_upstream_error(self, tmp_path, capsys):
+        dataset = self.smooth_dataset(tmp_path)
+        lines = dataset.read_text().splitlines()
+        lines[0] = ('# latentvqe/1 parameter-dataset {"anchor_index":0,"pqc_spec":{"family":'
+                    '"STRONGLY_ENTANGLING","n_qubits":2,"options":{},"reps_or_layers":1}}')
+        dataset.write_text("\n".join(lines) + "\n")
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
+        assert "takes 12 angles" in capsys.readouterr().err
+        assert not (tmp_path / "nn.json").exists()
+
+    @pytest.mark.parametrize("anchor", [22, -1])
+    def test_anchor_index_outside_records_is_upstream_error(self, tmp_path, anchor):
+        dataset = self.smooth_dataset(tmp_path)
+        text = dataset.read_text().replace('{"anchor_index": 0}', f'{{"anchor_index": {anchor}}}')
+        dataset.write_text(text)
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
+
     @pytest.mark.parametrize("truncation", ["schema_line_only", "short_row"])
     def test_truncated_dataset_is_upstream_error(self, tmp_path, truncation):
         lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\":0}"]
@@ -261,6 +301,11 @@ class TestNnEvalCli:
         # 3 angles used to end in an IndexError, 14 in an eval of the first 12
         assert self.evaluate(tmp_path, qae_doc, mlp_doc(width)) == EXIT_UPSTREAM
         assert f"predicts {width} angles" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_reversed_encoder_cnot_is_upstream_error(self, qae_doc, tmp_path):
+        doc = malformed_qae(qae_doc, "cnot_reversed")
+        assert self.evaluate(tmp_path, doc, mlp_doc(12)) == EXIT_UPSTREAM
         assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize("malform", ["short_last_bias", "relu_activation"])

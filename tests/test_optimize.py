@@ -336,15 +336,11 @@ class TestConstrainedSweep:
         rng = np.random.default_rng(0)
         best = None
         for _ in range(6):
-            res = staged_gate_optimize(
-                circuit, hams[anchor_idx], rng.uniform(0, 2 * np.pi, 12),
-                OptimizerConfig(tolerance=1e-11, max_iterations=300),
-            )
+            res = staged_gate_optimize(circuit, hams[anchor_idx], rng.uniform(0, 2 * np.pi, 12))
             if best is None or res["energy"] < best["energy"]:
                 best = res
         ds = constrained_sweep(
             circuit, hams, anchor_idx, best["params"], StepConstraint(0.5, 0.05),
-            OptimizerConfig(tolerance=1e-11, max_iterations=300),
             pqc_spec=LATENT_PQC_SPEC,
         )
         return ds, hams, anchor_idx
@@ -446,6 +442,18 @@ class TestDatasetCsv:
         bad = text.replace(canonical_json(LATENT_PQC_SPEC), canonical_json(spec))
         with pytest.raises(ValueError, match="pqc_spec"):
             dataset_from_csv(bad)
+
+    def test_latent_pqc_spec_needs_its_width(self):
+        with pytest.raises(ValueError, match="takes 12 angles"):
+            ParameterDataset((DatasetRecord(0.5, np.zeros(3), -1.0, -1.0, False),), 0,
+                             LATENT_PQC_SPEC)
+
+    @pytest.mark.parametrize("anchor", [-1, 2])
+    def test_anchor_index_inside_records(self, anchor):
+        records = tuple(DatasetRecord(0.5 + 0.1 * i, np.zeros(3), -1.0, -1.0) for i in range(2))
+        with pytest.raises(ValueError, match="anchor_index"):
+            ParameterDataset(records, anchor)
+        assert ParameterDataset((), anchor).n_params == 0
 
     def test_schema_line_required(self):
         with pytest.raises(ValueError, match="schema"):

@@ -3,15 +3,17 @@ import pytest
 
 from latentvqe.ansatz import qae_encoder, strongly_entangling
 from latentvqe.artifacts import canonical_json
-from latentvqe.circuit import Circuit, resource_counts, simulate
+from latentvqe.circuit import Circuit, circuit_to_dict, resource_counts, simulate
 from latentvqe.hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from latentvqe.optimize import LATENT_PQC_SPEC, OptimizerConfig, adam_minimize
 from latentvqe.qae import (
-    LATENT_PQC, QaeModel, QaeTrainingError, _batched_trash_cost_fn, decoder_circuit,
-    latent_vqe_circuit, qae_from_json, qae_to_dict, reconstruct, train_qae,
+    LATENT_PQC, QaeModel, QaeTrainingError, _batched_trash_cost_fn, _trash_empty,
+    decoder_circuit, latent_vqe_circuit, qae_from_json, qae_to_dict, reconstruct, train_qae,
     training_states_for, trash_cost,
 )
-from latentvqe.statevector import StateVector, expectation, zero_state
+from latentvqe.statevector import (
+    PauliString, StateVector, expectation, pauli_sum_matrix, zero_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,12 @@ class TestTrashCost:
         cost, _ = _batched_trash_cost_fn(enc, states)
         p = rng.uniform(0, 2 * np.pi, enc.n_params)
         assert cost(p) == pytest.approx(trash_cost(enc, p, states), abs=1e-12)
+
+    def test_projector_from_mask_is_the_pauli_sum(self):
+        # |00><00| on qubits 2, 3 is prod_t (I + Z_t) / 2
+        terms = [PauliString(ops, 0.25) for ops in ("IIII", "IIZI", "IIIZ", "IIZZ")]
+        proj = np.diag(_trash_empty(4).astype(complex))
+        assert proj.tobytes() == pauli_sum_matrix(terms, 4).tobytes()
 
     def test_single_state_compresses_to_machine_precision(self):
         rng = np.random.default_rng(9)
@@ -152,3 +160,30 @@ class TestSerialization:
         doc["schema_version"] = "nope/9"
         with pytest.raises(ValueError, match="schema"):
             qae_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", ["cnot_reversed", "three_layers", "extra_offset"])
+    def test_only_the_fixed_encoder_is_read(self, trained_model, edit):
+        doc = qae_to_dict(trained_model)
+        if edit == "cnot_reversed":
+            gate = next(g for g in doc["encoder"]["gates"] if g["kind"] == "CNOT")
+            gate["targets"].reverse()
+        elif edit == "three_layers":
+            doc["encoder"] = circuit_to_dict(qae_encoder(4, 3))
+        else:
+            doc["encoder"]["gates"][0]["offsets"] = [0.0, 0.0, 1e-9]
+        with pytest.raises(ValueError, match="encoder"):
+            qae_from_json(canonical_json(doc))
+
+
+class TestModelChecks:
+    def test_other_encoder_rejected(self):
+        enc = qae_encoder(4, 1)
+        with pytest.raises(ValueError, match="encoder"):
+            QaeModel(enc, np.zeros(enc.n_params), 0.0, (0.5, 1.0))
+
+    @pytest.mark.parametrize("params", [np.zeros(47), np.zeros(49), np.zeros((48, 1)),
+                                        np.full(48, np.nan), np.full(48, np.inf)],
+                             ids=["47", "49", "column", "nan", "inf"])
+    def test_encoder_params_must_be_48_finite_angles(self, params):
+        with pytest.raises(ValueError, match="encoder_params"):
+            QaeModel(qae_encoder(4, 2), params, 0.0, (0.5, 1.0))

@@ -5,8 +5,7 @@ from latentvqe.circuit import (
     Circuit, Gate, Param, gate_matrix, simulate, swap_test_circuit, u3_matrix,
 )
 from latentvqe.statevector import (
-    DensityMatrix, PauliString, StateVector, _apply_1q, expectation, fidelity_with_zero,
-    partial_trace, zero_state,
+    PauliString, StateVector, _apply_1q, expectation, partial_trace, zero_state,
 )
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -170,18 +169,18 @@ class TestExpectation:
 class TestPartialTrace:
     def test_keep_first_of_00(self):
         rho = partial_trace(zero_state(2), keep=[0])
-        assert np.allclose(rho.entries, [[1, 0], [0, 0]])
+        assert np.allclose(rho, [[1, 0], [0, 0]])
 
     def test_bell_state_is_maximally_mixed(self):
         bell = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
         rho = partial_trace(bell, keep=[0])
-        assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_product_state_keeps_plus_factor(self):
         # |0> on qubit 0, |+> on qubit 1
         amp = np.kron([1, 1] / np.sqrt(2), [1, 0]).astype(complex)
         rho = partial_trace(StateVector(2, amp), keep=[1])
-        assert np.allclose(rho.entries, np.full((2, 2), 0.5), atol=1e-12)
+        assert np.allclose(rho, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_product_state_consistency(self):
         rng = np.random.default_rng(5)
@@ -189,20 +188,13 @@ class TestPartialTrace:
         b = random_state(rng, 2)
         joint = StateVector(4, np.kron(b.amplitudes, a.amplitudes))
         rho = partial_trace(joint, keep=[0, 1])
-        assert np.max(np.abs(rho.entries - np.outer(a.amplitudes, a.amplitudes.conj()))) < 1e-12
+        assert np.max(np.abs(rho - np.outer(a.amplitudes, a.amplitudes.conj()))) < 1e-12
 
     def test_invalid_keep(self):
         with pytest.raises(ValueError):
             partial_trace(zero_state(2), keep=[])
         with pytest.raises(ValueError):
             partial_trace(zero_state(2), keep=[0, 1])
-
-
-class TestFidelityWithZero:
-    def test_examples(self):
-        assert fidelity_with_zero(DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))) == 1.0
-        assert fidelity_with_zero(DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex))) == 0.0
-        assert fidelity_with_zero(DensityMatrix(1, np.eye(2, dtype=complex) / 2)) == 0.5
 
 
 class TestOverlap:
