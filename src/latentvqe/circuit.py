@@ -197,13 +197,13 @@ class ConstantStep:
         self.gates = tuple(gates)
         self.matrix = apply_gates(np.eye(1 << n, dtype=complex), gates, np.zeros(0), n)
 
-    def apply(self, amp: np.ndarray, angles=None) -> np.ndarray:
+    def apply(self, amp: np.ndarray, angles=None, tables=None) -> np.ndarray:
         return self.matrix @ amp
 
     def apply_transpose(self, amp: np.ndarray) -> np.ndarray:
         return self.matrix.T @ amp
 
-    def backward(self, lam: np.ndarray, pre, angles, dangles) -> np.ndarray:
+    def backward(self, lam: np.ndarray, pre, angles, dangles, tables) -> np.ndarray:
         """M^dag lam; the step has no free angle to differentiate."""
         return self.matrix.conj().T @ lam
 
@@ -216,12 +216,14 @@ class LayerStep:
     product over the layer's gates of their 2x2 entry (bit_q(i), bit_q(j)),
     and zero where i and j differ on a qubit outside the layer.
     `angles[lo:hi]` holds the layer's angles: (theta, phi, lambda) per U3
-    gate, one per other gate.
+    gate, one per other gate. A rotation layer reads its gates' 2x2 entries
+    from rows `rows` of its kind's table (`Plan.tables`).
     """
 
-    def __init__(self, kind: str, gates, lo: int, n: int):
+    def __init__(self, kind: str, gates, lo: int, row: int, n: int):
         self.kind, self.gates = kind, tuple(gates)
         self.lo, self.hi = lo, lo + sum(len(g.params) for g in self.gates)
+        self.rows = slice(row, row + len(self.gates))
         qubits = [g.targets[0] for g in self.gates]
         idx = np.arange(1 << n)
         bits = (idx[None, :] >> np.array(qubits)[:, None]) & 1
@@ -235,19 +237,6 @@ class LayerStep:
         others = sum(1 << q for q in range(n) if q not in qubits)
         self.mask = ((idx[:, None] ^ idx[None, :]) & others) == 0 if others else None
 
-    def _rotations(self, a: np.ndarray):
-        """cos(t/2), sin(t/2) and the U3 phases (1 for RY) of each gate.
-
-        Gate g's entries 00, 01, 10, 11 are phases[g] * (c, -s, s, c)[g]; for U3
-        that is c, -e^{i lam} s, e^{i phi} s, e^{i(phi + lam)} c.
-        """
-        phases = 1.0
-        if self.kind == "U3":
-            a = a.reshape(-1, 3)
-            phases = np.exp(1j * (a[:, 1:] @ _U3_PHASES))
-            a = a[:, 0]
-        return np.cos(0.5 * a), np.sin(0.5 * a), phases
-
     def _factors(self, entries: np.ndarray) -> np.ndarray:
         """Gate g's 2x2 entry (bit_q(i), bit_q(j)) at [g, i, j]."""
         return entries.reshape(-1)[self.index]
@@ -255,16 +244,14 @@ class LayerStep:
     def _masked(self, kron: np.ndarray) -> np.ndarray:
         return kron if self.mask is None else kron * self.mask
 
-    def apply(self, amp: np.ndarray, angles: np.ndarray) -> np.ndarray:
-        a = angles[self.lo:self.hi]
+    def apply(self, amp: np.ndarray, angles: np.ndarray, tables) -> np.ndarray:
         if self.kind == "phase":
-            phase = np.exp(1j * (self.weights @ a))
+            phase = np.exp(1j * (self.weights @ angles[self.lo:self.hi]))
             return (phase[:, None] if amp.ndim > 1 else phase) * amp
-        c, s, phases = self._rotations(a)
-        entries = np.stack([c, -s, s, c], axis=1) * phases
+        entries = tables[self.kind][0][self.rows]
         return self._masked(self._factors(entries).prod(axis=0)) @ amp
 
-    def backward(self, lam: np.ndarray, pre: np.ndarray, angles, dangles) -> np.ndarray:
+    def backward(self, lam: np.ndarray, pre: np.ndarray, angles, dangles, tables) -> np.ndarray:
         """One adjoint step on (2^n, batch) stacks: return U^dag lam.
 
         `pre` is the state before the layer and `lam` the adjoint state after
@@ -274,24 +261,25 @@ class LayerStep:
         2x2 environment per gate, so every angle of the layer takes one
         Re <env, dU/da> at once.
         """
-        a = angles[self.lo:self.hi]
         if self.kind == "phase":
-            phase = np.exp(1j * (self.weights @ a))
+            phase = np.exp(1j * (self.weights @ angles[self.lo:self.hi]))
             # d phase / d a_k = i W[:, k] phase, and Re(i z) = -Im z
             overlap = phase * np.einsum("ib,ib->i", lam.conj(), pre)
             dangles[self.lo:self.hi] = -(self.weights.T @ overlap).imag
             return phase.conj()[:, None] * lam
-        c, s, phases = self._rotations(a)
-        entries = np.stack([c, -s, s, c], axis=1) * phases
+        # conj before the cumprods: after a complex BLAS product (the previous step's
+        # return) numpy's scalar cumprod loop ran 10x slower until an elementwise
+        # vector loop such as conj ran (numpy 2.4, OpenBLAS 0.3.31, AVX-512 Xeon)
+        lam_conj = lam.conj()
+        entries, dtheta = (table[self.rows] for table in tables[self.kind])
         factors = self._factors(entries)
         ones = np.ones_like(factors[:1])
         before = np.concatenate([ones, np.cumprod(factors[:-1], axis=0)])
         after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], ones])
-        weighted = self._masked(before * after * (lam.conj() @ pre.T)).ravel()
+        weighted = self._masked(before * after * (lam_conj @ pre.T)).ravel()
         index, size = self.index.ravel(), entries.size
         env = (np.bincount(index, weighted.real, size)
                + 1j * np.bincount(index, weighted.imag, size)).reshape(entries.shape)
-        dtheta = 0.5 * np.stack([-s, -c, c, -s], axis=1) * phases
         grads = np.real(np.sum(env * dtheta, axis=1))[:, None]
         if self.kind == "U3":
             # d/dphi and d/dlambda multiply the entries by i where _U3_PHASES has a 1
@@ -307,7 +295,8 @@ class Plan:
     Each maximal run of gates without a free angle is one ConstantStep; each
     run of free gates of one kind (RZ and U1, RY, or U3) on distinct qubits is
     one LayerStep. `angles` evaluates every free angle, coeff * params[slot] +
-    offset, at once, for `apply` and for the adjoint `gradient`.
+    offset, at once, and `tables` the 2x2 entries of every RY and U3 gate, once
+    per `apply` or `gradient` call.
     """
 
     def __init__(self, circuit: Circuit):
@@ -323,14 +312,18 @@ class Plan:
                 groups[-1][1].append(g)
             else:
                 groups.append((cls, [g]))
-        steps, table = [], []
+        steps, table, rotations = [], [], {}
         for cls, gates in groups:
             if cls == "constant":
                 steps.append(ConstantStep(gates, n))
                 continue
-            steps.append(LayerStep(cls, gates, len(table), n))
-            table.extend(p for g in gates for p in g.params)
+            rows = rotations.setdefault(cls, [])  # each gate's angle positions, per kind
+            steps.append(LayerStep(cls, gates, len(table), len(rows), n))
+            for g in gates:
+                rows.append(range(len(table), len(table) + len(g.params)))
+                table.extend(g.params)
         self.steps, self.n_params = tuple(steps), circuit.n_params
+        self._rotations = {k: np.array(v) for k, v in rotations.items() if k != "phase"}
         # every free gate's angle positions in step order; a constant one reads 0 * params[0]
         self._slots = np.array([p.slot or 0 for p in table], dtype=int)
         self._coeffs = np.array([p.coeff if p.slot is not None else 0.0 for p in table])
@@ -347,11 +340,28 @@ class Plan:
             raise ValueError("gate angles must be finite")
         return angles
 
+    def tables(self, angles: np.ndarray, derivative: bool = False) -> dict:
+        """Per rotation kind (RY, U3), (entries, their theta derivatives or None): row g
+        holds the kind's g-th gate's 2x2 entries 00, 01, 10, 11, phases * (c, -s, s, c)
+        with c, s = cos, sin(theta/2) and phases 1 for RY, (1, e^{i lam}, e^{i phi},
+        e^{i(phi + lam)}) for U3. Empty for a plan without RY or U3 gates."""
+        tables = {}
+        for kind, pos in self._rotations.items():
+            a, phases = angles[pos[:, 0]], 1.0
+            if kind == "U3":
+                phases = np.exp(1j * (angles[pos[:, 1:]] @ _U3_PHASES))
+            c, s = np.cos(0.5 * a), np.sin(0.5 * a)
+            tables[kind] = (np.stack([c, -s, s, c], axis=1) * phases,
+                            0.5 * np.stack([-s, -c, c, -s], axis=1) * phases
+                            if derivative else None)
+        return tables
+
     def apply(self, amp: np.ndarray, params) -> np.ndarray:
         """Run every step on a vector or (2^n, batch) stack."""
         angles = self.angles(params)
+        tables = self.tables(angles)
         for step in self.steps:
-            amp = step.apply(amp, angles)
+            amp = step.apply(amp, angles, tables)
         return amp
 
     def gradient(self, amp: np.ndarray, params, observable: np.ndarray) -> np.ndarray:
@@ -360,18 +370,20 @@ class Plan:
         Adjoint differentiation: the forward pass keeps the state before each
         step; the backward pass starts from lam = O psi and maps it back
         through each step (lam <- U^dag lam), which adds
-        2 Re lam^dag (dU/da) pre for every angle a of the step. Each angle then
-        reaches its slot with its coefficient (chain rule), so shared slots,
-        coefficients and offsets need no special case.
+        2 Re lam^dag (dU/da) pre for every angle a of the step. Both passes
+        read one set of `tables`, which also holds the theta derivatives. Each
+        angle then reaches its slot with its coefficient (chain rule), so
+        shared slots, coefficients and offsets need no special case.
         """
         angles = self.angles(params)
+        tables = self.tables(angles, derivative=True)
         states = [amp]
         for step in self.steps:
-            states.append(step.apply(states[-1], angles))
+            states.append(step.apply(states[-1], angles, tables))
         lam = observable @ states.pop()
         dangles = np.zeros_like(angles)
         for step, pre in zip(reversed(self.steps), reversed(states)):
-            lam = step.backward(lam, pre, angles, dangles)
+            lam = step.backward(lam, pre, angles, dangles, tables)
         grad = np.zeros(self.n_params)
         np.add.at(grad, self._slots, 2.0 * self._coeffs * dangles)
         return grad

@@ -193,7 +193,7 @@ def cmd_vqe_run(args) -> int:
     counts = resource_counts(LATENT_PQC if args.ansatz == "latent" else circuit)
 
     method = "staged" if args.ansatz == "latent" else "nm"
-    results = []
+    results, stops = [], []
     for i, (bond, h) in enumerate(points):
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
         oracle = exact_ground_energy(h)["energy"]
@@ -206,6 +206,8 @@ def cmd_vqe_run(args) -> int:
             )
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
             res = optimize_vqe(circuit, h, cfg, rng=rng, initial=initial)
+            stops.append({"bond_length": bond, "iterations": res["iterations"],
+                          "stop_reason": res["stop_reason"]})
         results.append({
             "bond_length": bond,
             "energy": res["energy"],
@@ -233,7 +235,7 @@ def cmd_vqe_run(args) -> int:
     _write_json(out, doc)
     _write_manifest(out, "vqe run",
                     {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},
-                    inputs, [out], args.seed, t0)
+                    inputs, [out], args.seed, t0, {"points": stops} if stops else None)
     return EXIT_OK
 
 

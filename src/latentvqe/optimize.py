@@ -94,16 +94,18 @@ def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
 def minimize(cost, initial, config: OptimizerConfig | None = None) -> dict:
     """Nelder-Mead simplex (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
 
-    Terminates when the iteration budget is exhausted, or when both the
-    simplex value spread drops below config.tolerance and every vertex lies
-    within sqrt(config.tolerance) of the best one in every coordinate
-    (SciPy's fatol and xatol test). The size test keeps a simplex that
-    straddles a minimum with equal values from stopping: on a quadratic with
-    unit curvature a value spread of tolerance corresponds to a distance of
-    sqrt(tolerance). Returns {"params", "value", "evaluations"}.
+    Stops on `budget` after config.max_iterations iterations, or on
+    `tolerance` when both the simplex value spread drops below
+    config.tolerance and every vertex lies within sqrt(config.tolerance) of
+    the best one in every coordinate (SciPy's fatol and xatol test). The size
+    test keeps a simplex that straddles a minimum with equal values from
+    stopping: on a quadratic with unit curvature a value spread of tolerance
+    corresponds to a distance of sqrt(tolerance). The simplex is one
+    (n + 1, n) array, stably sorted by value each iteration. Returns
+    {"params", "value", "evaluations", "iterations", "stop_reason"}.
     """
     config = config or OptimizerConfig()
-    x0 = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
+    x0 = np.atleast_1d(np.asarray(initial, dtype=float))
     n = x0.size
     xtol = math.sqrt(config.tolerance)
 
@@ -116,16 +118,18 @@ def minimize(cost, initial, config: OptimizerConfig | None = None) -> dict:
             raise NumericalError("non-finite cost value encountered")
         return v
 
-    verts = [x0] + [x0 + 0.1 * e for e in np.eye(n)]
-    values = [f(v) for v in verts]
+    verts = np.vstack([x0, x0 + 0.1 * np.eye(n)])
+    values = np.array([f(v) for v in verts])
 
-    for _ in range(config.max_iterations):
-        order = sorted(range(n + 1), key=lambda k: values[k])
-        verts = [verts[k] for k in order]
-        values = [values[k] for k in order]
+    iterations, stop = 0, "budget"
+    while iterations < config.max_iterations:
+        order = np.argsort(values, kind="stable")
+        verts, values = verts[order], values[order]
         if (values[-1] - values[0] < config.tolerance
-                and np.max(np.abs(np.asarray(verts) - verts[0])) <= xtol):
+                and np.max(np.abs(verts - verts[0])) <= xtol):
+            stop = "tolerance"
             break
+        iterations += 1
         centroid = np.mean(verts[:-1], axis=0)
         xr = centroid + (centroid - verts[-1])
         fr = f(xr)
@@ -148,12 +152,13 @@ def minimize(cost, initial, config: OptimizerConfig | None = None) -> dict:
                 if fc < values[-1]:
                     verts[-1], values[-1] = xc, fc
                     continue
-            for k in range(1, n + 1):  # shrink toward the best vertex
-                verts[k] = verts[0] + 0.5 * (verts[k] - verts[0])
-                values[k] = f(verts[k])
+            # shrink toward the best vertex
+            verts[1:] = verts[0] + 0.5 * (verts[1:] - verts[0])
+            values[1:] = [f(v) for v in verts[1:]]
 
     best = int(np.argmin(values))
-    return {"params": verts[best], "value": values[best], "evaluations": evals}
+    return {"params": verts[best].copy(), "value": float(values[best]), "evaluations": evals,
+            "iterations": iterations, "stop_reason": stop}
 
 
 # --- gradients and the per-gate walk ----------------------------------------
@@ -401,7 +406,8 @@ def optimize_vqe(
     rng: np.random.Generator | None = None,
     initial=None,
 ) -> dict:
-    """Multi-restart Nelder-Mead VQE; first start at `initial` (if given), rest random."""
+    """Multi-restart Nelder-Mead VQE; first start at `initial` (if given), rest random.
+    `iterations` and `stop_reason` are the best restart's."""
     config = config or OptimizerConfig()
     rng = rng or np.random.default_rng(config.seed)
     cost = energy_fn(circuit, hamiltonian, zero_state(circuit.n_qubits))
@@ -416,7 +422,8 @@ def optimize_vqe(
         evaluations += res["evaluations"]
         if best is None or res["value"] < best["value"]:
             best = res
-    return {"params": best["params"], "energy": best["value"], "evaluations": evaluations}
+    return {"params": best["params"], "energy": best["value"], "evaluations": evaluations,
+            "iterations": best["iterations"], "stop_reason": best["stop_reason"]}
 
 
 # --- constrained bond-length sweep ------------------------------------------

@@ -167,6 +167,19 @@ class TestVqeRun:
         # 33 vertices, then at most 5 iterations of at most 33 evaluations (a shrink)
         assert json.loads(out.read_text())["evaluations"] <= 33 + 5 * 33
 
+    def test_manifest_records_stop_reason(self, ham, tmp_path):
+        def stops(ansatz, *extra):
+            out = tmp_path / f"{ansatz}.json"
+            assert run("vqe", "run", "--ansatz", ansatz, "--ham", ham, *extra,
+                       "--out", out) == EXIT_OK
+            manifest = json.loads((tmp_path / f"{ansatz}.json.manifest.json").read_text())
+            return manifest["result"]["points"]
+
+        assert stops("su2", "--max-iterations", 5) == [
+            {"bond_length": 0.735, "iterations": 5, "stop_reason": "budget"}]
+        (point,) = stops("uccsd")
+        assert point["stop_reason"] == "tolerance" and 0 < point["iterations"] < 2000
+
     def test_manifest_hashes_every_grid_point_file(self, tmp_path):
         grid = tmp_path / "grid"
         run("ham", "build", "--grid", "0.6:0.8:2", "--out", grid)

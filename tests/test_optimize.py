@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,99 @@ def toy_hamiltonians(xs):
     return out
 
 
+def reference_minimize(cost, initial, config):
+    """Nelder-Mead on a list of vertices with a stable `sorted`: `minimize`'s reference."""
+    x0 = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
+    n = x0.size
+    xtol = math.sqrt(config.tolerance)
+    evals = 0
+    def f(x):
+        nonlocal evals
+        evals += 1
+        return float(cost(x))
+
+    verts = [x0] + [x0 + 0.1 * e for e in np.eye(n)]
+    values = [f(v) for v in verts]
+    for _ in range(config.max_iterations):
+        order = sorted(range(n + 1), key=lambda k: values[k])
+        verts = [verts[k] for k in order]
+        values = [values[k] for k in order]
+        if (values[-1] - values[0] < config.tolerance
+                and np.max(np.abs(np.asarray(verts) - verts[0])) <= xtol):
+            break
+        centroid = np.mean(verts[:-1], axis=0)
+        xr = centroid + (centroid - verts[-1])
+        fr = f(xr)
+        if fr < values[0]:
+            xe = centroid + 2.0 * (centroid - verts[-1])
+            fe = f(xe)
+            verts[-1], values[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < values[-2]:
+            verts[-1], values[-1] = xr, fr
+        else:
+            if fr < values[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+                fc = f(xc)
+                if fc <= fr:
+                    verts[-1], values[-1] = xc, fc
+                    continue
+            else:
+                xc = centroid + 0.5 * (verts[-1] - centroid)
+                fc = f(xc)
+                if fc < values[-1]:
+                    verts[-1], values[-1] = xc, fc
+                    continue
+            for k in range(1, n + 1):
+                verts[k] = verts[0] + 0.5 * (verts[k] - verts[0])
+                values[k] = f(verts[k])
+    best = int(np.argmin(values))
+    return {"params": verts[best], "value": values[best], "evaluations": evals}
+
+
+def _su2_problem():
+    from latentvqe.ansatz import efficient_su2
+    from latentvqe.hamiltonian import hamiltonian_for_distance
+
+    circuit = efficient_su2(4, 3)
+    cost = energy_fn(circuit, hamiltonian_for_distance(0.735), zero_state(4))
+    x0 = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, circuit.n_params)
+    return cost, x0, OptimizerConfig(max_iterations=300, tolerance=1e-10)
+
+
+def _uccsd_problem():
+    from latentvqe.ansatz import uccsd_h2
+    from latentvqe.hamiltonian import hamiltonian_for_distance
+
+    cost = energy_fn(uccsd_h2(), hamiltonian_for_distance(0.735), zero_state(4))
+    return cost, np.zeros(3), OptimizerConfig(max_iterations=2000, tolerance=1e-10)
+
+
+def _plateau_problem():
+    # a step function: contractions fail on its plateaus, so the simplex shrinks
+    cost = lambda x: float(np.floor(4.0 * np.sum((x - 0.7) ** 2)))
+    return cost, np.zeros(3), OptimizerConfig(max_iterations=200, tolerance=1e-10)
+
+
 class TestNelderMead:
+    @pytest.mark.parametrize("problem", [_su2_problem, _uccsd_problem, _plateau_problem])
+    def test_bitwise_equal_to_list_reference(self, problem):
+        cost, x0, config = problem()
+        ours = minimize(cost, x0, config)
+        ref = reference_minimize(cost, x0, config)
+        assert np.array_equal(ours["params"], ref["params"])
+        assert ours["value"] == ref["value"]
+        assert ours["evaluations"] == ref["evaluations"]
+        if problem is _plateau_problem:
+            # n + 1 start vertices, then 1 or 2 evaluations per iteration unless it shrinks
+            assert ours["evaluations"] - x0.size - 1 > 2 * ours["iterations"]
+
+    def test_stop_reasons(self):
+        cost = lambda x: (x[0] - 3.0) ** 2
+        res = minimize(cost, [0.0], OptimizerConfig(max_iterations=500, tolerance=1e-14))
+        assert res["stop_reason"] == "tolerance" and 0 < res["iterations"] < 500
+        res = minimize(cost, [0.0], OptimizerConfig(max_iterations=4, tolerance=1e-14))
+        assert (res["stop_reason"], res["iterations"]) == ("budget", 4)
+
     def test_quadratic(self):
         res = minimize(lambda x: (x[0] - 3.0) ** 2, [0.0],
                        config=OptimizerConfig(max_iterations=500, tolerance=1e-14))

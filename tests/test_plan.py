@@ -4,8 +4,8 @@ import pytest
 
 from latentvqe.ansatz import efficient_su2, qae_encoder, uccsd_h2
 from latentvqe.circuit import (
-    Circuit, ConstantStep, Gate, LayerStep, Param, apply_circuit, apply_gates, compile_plan,
-    simulate, swap_test_circuit,
+    _U3_PHASES, Circuit, ConstantStep, Gate, LayerStep, Param, apply_circuit, apply_gates,
+    compile_plan, simulate, swap_test_circuit,
 )
 from latentvqe.hamiltonian import hamiltonian_for_distance
 from latentvqe import optimize
@@ -135,7 +135,7 @@ def test_energy_fn_from_a_non_vacuum_state():
     assert abs(energy_fn(circuit, h, initial)(params) - reference) < 1e-12
 
 
-def test_offsets_and_coefficients_enter_every_layer_kind():
+def partial_u3_circuit():
     gates = (
         Gate("U3", (0,), (Param(0, -1.5, 0.3), Param.const(0.7), Param(1, 2.0, -0.4))),
         Gate("RY", (1,), (Param(1, 0.5, 1.1),)),
@@ -144,7 +144,12 @@ def test_offsets_and_coefficients_enter_every_layer_kind():
         Gate("H", (2,)),
         Gate("U1", (2,), (Param(0, 1.0, 0.25),)),
     )
-    circuit = Circuit(3, gates, 2)
+    return Circuit(3, gates, 2)
+
+
+def test_offsets_and_coefficients_enter_every_layer_kind():
+    circuit = partial_u3_circuit()
+    gates = circuit.gates
     # U3 layer, RY layer, one phase layer for RZ and U1, the constant H, a phase layer
     assert len(compile_plan(circuit).steps) == 5
     rng = np.random.default_rng(11)
@@ -163,6 +168,90 @@ def test_offsets_and_coefficients_enter_every_layer_kind():
     fd = [(cost(params + h * e) - cost(params - h * e)) / (2 * h) for e in np.eye(2)]
     np.testing.assert_allclose(batched_shift_gradient(circuit, hmat, params, cols), fd,
                                rtol=0, atol=1e-7)
+
+
+def reference_entries(step, angles):
+    """A rotation layer's 2x2 entries and their theta derivatives, built from its own angles."""
+    a, phases = angles[step.lo:step.hi], 1.0
+    if step.kind == "U3":
+        a = a.reshape(-1, 3)
+        phases = np.exp(1j * (a[:, 1:] @ _U3_PHASES))
+        a = a[:, 0]
+    c, s = np.cos(0.5 * a), np.sin(0.5 * a)
+    return (np.stack([c, -s, s, c], axis=1) * phases,
+            0.5 * np.stack([-s, -c, c, -s], axis=1) * phases)
+
+
+def is_rotation(step):
+    return isinstance(step, LayerStep) and step.kind != "phase"
+
+
+def reference_step(step, amp, angles):
+    if is_rotation(step):
+        entries, _ = reference_entries(step, angles)
+        return step._masked(step._factors(entries).prod(axis=0)) @ amp
+    return step.apply(amp, angles, None)
+
+
+def reference_apply(plan, amp, params):
+    """`Plan.apply` with every rotation layer building its own entries."""
+    angles = plan.angles(params)
+    for step in plan.steps:
+        amp = reference_step(step, amp, angles)
+    return amp
+
+
+def reference_backward(step, lam, pre, angles, dangles):
+    entries, dtheta = reference_entries(step, angles)
+    factors = step._factors(entries)
+    ones = np.ones_like(factors[:1])
+    before = np.concatenate([ones, np.cumprod(factors[:-1], axis=0)])
+    after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], ones])
+    weighted = step._masked(before * after * (lam.conj() @ pre.T)).ravel()
+    index, size = step.index.ravel(), entries.size
+    env = (np.bincount(index, weighted.real, size)
+           + 1j * np.bincount(index, weighted.imag, size)).reshape(entries.shape)
+    grads = np.real(np.sum(env * dtheta, axis=1))[:, None]
+    if step.kind == "U3":
+        grads = np.hstack([grads, -((env * entries) @ _U3_PHASES.T).imag])
+    dangles[step.lo:step.hi] = grads.ravel()
+    return step._masked(before[-1] * factors[-1]).conj().T @ lam
+
+
+def reference_gradient(plan, amp, params, observable):
+    """`Plan.gradient` with every rotation layer building its own entries."""
+    angles = plan.angles(params)
+    states = [amp]
+    for step in plan.steps:
+        states.append(reference_step(step, states[-1], angles))
+    lam = observable @ states.pop()
+    dangles = np.zeros_like(angles)
+    for step, pre in zip(reversed(plan.steps), reversed(states)):
+        if is_rotation(step):
+            lam = reference_backward(step, lam, pre, angles, dangles)
+        else:
+            lam = step.backward(lam, pre, angles, dangles, None)
+    grad = np.zeros(plan.n_params)
+    np.add.at(grad, plan._slots, 2.0 * plan._coeffs * dangles)
+    return grad
+
+
+@pytest.mark.parametrize("name", ["su2", "qae_encoder", "latent", "partial_u3"])
+def test_tables_are_bitwise_equal_to_per_layer_entries(name):
+    # one table per call reads the same cos/sin/phase values as each layer building its own
+    circuit = partial_u3_circuit() if name == "partial_u3" else CIRCUITS[name]()
+    plan, n = compile_plan(circuit), circuit.n_qubits
+    rng = np.random.default_rng(17)
+    hmat = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    hmat = hmat + hmat.conj().T
+    for _ in range(5):
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, circuit.n_params)
+        for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 3)):
+            assert (plan.apply(amp, params).tobytes()
+                    == reference_apply(plan, amp, params).tobytes())
+        cols = random_amplitudes(rng, n, 3)
+        assert (plan.gradient(cols, params, hmat).tobytes()
+                == reference_gradient(plan, cols, params, hmat).tobytes())
 
 
 def two_term_rule(cost, params):
