@@ -4,9 +4,9 @@ Pipeline: closed-form STO-3G integrals over s-type Gaussians -> symmetry
 molecular orbitals (no SCF loop needed for minimal-basis H2) -> second
 quantization over 4 spin orbitals -> Jordan-Wigner Pauli strings. The
 exact-diagonalization oracle runs cyclic Jacobi rotations on the dense
-16x16 matrix. What does not depend on the bond length (the primitive-pair
-constants of the integrals, the Jordan-Wigner products of ladder operators)
-is built once per process, on first use.
+16x16 matrix. What does not depend on the bond length (the STO-3G primitive
+constants, the Jordan-Wigner map as a gather table) is built once per
+process, on first use.
 
 Spin-orbital / qubit ordering (blocked spin): qubit 0 = sigma_g up,
 qubit 1 = sigma_u up, qubit 2 = sigma_g down, qubit 3 = sigma_u down.
@@ -15,10 +15,10 @@ Internals are atomic units; bond lengths at the API are Angstrom.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -60,11 +60,22 @@ class JacobiConvergenceError(RuntimeError):
     """Cyclic Jacobi failed to reach the off-diagonal tolerance."""
 
 
-def _boys_f0(x: float) -> float:
-    # F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)); series near 0 avoids 0/0.
-    if x < 1e-12:
-        return 1.0 - x / 3.0
-    return 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
+def _boys_f0(x: np.ndarray) -> np.ndarray:
+    """F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)) elementwise; 1 - x/3 below 1e-12 avoids 0/0.
+
+    math.erf runs once per distinct argument. Every other step is one IEEE
+    operation in the scalar formula's association, so each value is bit-identical to it.
+    """
+    small = x < 1e-12
+    u, inv = np.unique(x, return_inverse=True)
+    erf = np.array([math.erf(math.sqrt(v)) for v in u.tolist()])[inv].reshape(x.shape)
+    return np.where(small, 1.0 - x / 3.0, 0.5 * np.sqrt(np.pi / np.where(small, 1.0, x)) * erf)
+
+
+def _square(d: np.ndarray) -> np.ndarray:
+    """Python's d ** 2 (libm pow, not always d * d to the bit), once per distinct value."""
+    u, inv = np.unique(d, return_inverse=True)
+    return np.array([v ** 2 for v in u.tolist()])[inv].reshape(d.shape)
 
 
 def _prim_norm(alpha: float) -> float:
@@ -72,11 +83,11 @@ def _prim_norm(alpha: float) -> float:
 
 
 @functools.cache
-def _sto3g_table():
-    """Distance-independent STO-3G constants, built on first use.
+def _sto3g_table() -> dict:
+    """Distance-independent STO-3G constants as read-only arrays, built on first use.
 
-    Per primitive pair (i, j), in loop order: (a_i, a_j, p, mu, c_i c_j (pi/p)^1.5,
-    c_i c_j mu, (pi/p)^1.5, c_i c_j 2pi/p); per quartet, rows of
+    Per primitive pair (i, j), in loop order (9,): a_i, a_j, p, mu, c_i c_j (pi/p)^1.5,
+    c_i c_j mu, (pi/p)^1.5 and c_i c_j 2pi/p; per quartet of pairs (9, 9):
     c_i c_j c_k c_l pref and pq/(p+q). Each product keeps the left-to-right
     association of the straight-line formulas, so the integrals are bit-identical.
     """
@@ -90,18 +101,19 @@ def _sto3g_table():
     )
     prims = [(c / math.sqrt(self_ov), a) for c, a in zip(raw, exps)]
     base = [(ci, cj, ai, aj, ai + aj, ai * aj / (ai + aj)) for ci, ai in prims for cj, aj in prims]
-    pairs = [
+    pairs = np.array([
         (ai, aj, p, mu, ci * cj * (math.pi / p) ** 1.5, ci * cj * mu, (math.pi / p) ** 1.5,
          ci * cj * (2.0 * math.pi / p))
         for ci, cj, ai, aj, p, mu in base
-    ]
-    quartets = [
-        ([ci * cj * ck * cl * (2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q)))
-          for ck, cl, _, _, q, _ in base],
-         [p * q / (p + q) for *_, q, _ in base])
+    ])
+    quartets = np.array([
+        [(ci * cj * ck * cl * (2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))), p * q / (p + q))
+         for ck, cl, _, _, q, _ in base]
         for ci, cj, _, _, p, _ in base
-    ]
-    return pairs, quartets
+    ])
+    pairs.flags.writeable = quartets.flags.writeable = False
+    names = ("ai", "aj", "p", "mu", "overlap", "ccmu", "s0", "cc2pi")
+    return dict(zip(names, pairs.T), k=quartets[..., 0], rho=quartets[..., 1])
 
 
 def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
@@ -109,48 +121,32 @@ def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
     if not 0.2 <= bond_length <= 5.0:
         raise ValueError(f"bond length {bond_length} outside supported [0.2, 5.0] Angstrom")
     r = bond_length * ANGSTROM_TO_BOHR
-    centers = (0.0, r)
-    pairs, quartets = _sto3g_table()
-    # Per centre pair (A, B) and primitive pair: exp(-mu (A - B)^2) and the
-    # Gaussian product centre P = (a_i A + a_j B) / p.
-    gauss = {
-        (A, B): ([math.exp(-mu * (A - B) ** 2) for _, _, _, mu, *_ in pairs],
-                 [(ai * A + aj * B) / p for ai, aj, p, *_ in pairs])
-        for A in centers for B in centers
-    }
-
-    def one_body(A: float, B: float) -> float:
-        t = v = 0.0
-        r2 = (A - B) ** 2
-        for (_, _, p, mu, _, ccmu, s0, cc2pi), e, P in zip(pairs, *gauss[A, B]):
-            t += ccmu * (3.0 - 2.0 * mu * r2) * (s0 * e)
-            pref = cc2pi * e
-            for C in centers:  # both nuclei have Z = 1
-                v -= pref * _boys_f0(p * (P - C) ** 2)
-        return t + v
-
-    def eri(A: float, B: float, C: float, D: float) -> float:
-        val = 0.0
-        (kab_all, p_all), (kcd_all, q_all) = gauss[A, B], gauss[C, D]
-        for kab, P, (k_row, rho_row) in zip(kab_all, p_all, quartets):
-            for kcd, Q, k, rho in zip(kcd_all, q_all, k_row, rho_row):
-                val += k * kab * kcd * _boys_f0(rho * (P - Q) ** 2)
-        return val
+    t = _sto3g_table()
+    # Per centre pair (A, B) in loop order (rows) and primitive pair (columns):
+    # exp(-mu (A - B)^2) and the Gaussian product centre P = (a_i A + a_j B) / p.
+    ab = [(A, B) for A in (0.0, r) for B in (0.0, r)]
+    r2 = np.array([(A - B) ** 2 for A, B in ab])
+    gauss = np.array([[math.exp(x) for x in (-t["mu"] * d).tolist()] for d in r2.tolist()])
+    centre = np.array([(t["ai"] * A + t["aj"] * B) / t["p"] for A, B in ab])
 
     s12 = 0.0
-    for (_, _, _, _, ov, *_), e in zip(pairs, gauss[0.0, r][0]):
+    for ov, e in zip(t["overlap"].tolist(), gauss[1].tolist()):
         s12 += ov * e
-    h_ao = np.empty((2, 2))
-    for mu_i, A in enumerate(centers):
-        for nu, B in enumerate(centers):
-            h_ao[mu_i, nu] = one_body(A, B)
 
-    g_ao = np.empty((2, 2, 2, 2))
-    for i, A in enumerate(centers):
-        for j, B in enumerate(centers):
-            for k, C in enumerate(centers):
-                for l, D in enumerate(centers):
-                    g_ao[i, j, k, l] = eri(A, B, C, D)
+    # One-body terms, (pair, centre pair); the nuclear sum runs over (pair, nucleus),
+    # both nuclei with Z = 1. Sums along axis 0 add row after row, in loop order.
+    kinetic = (t["ccmu"][:, None] * (3.0 - 2.0 * t["mu"][:, None] * r2)
+               * (t["s0"][:, None] * gauss.T))
+    boys = _boys_f0(t["p"][:, None, None] * _square(centre.T[:, None, :] - np.array([[0.0], [r]])))
+    nuclear = (t["cc2pi"][:, None] * gauss.T)[:, None, :] * boys
+    h_ao = (kinetic.sum(axis=0) + (-nuclear).reshape(18, 4).sum(axis=0)).reshape(2, 2)
+
+    # Two-electron terms, (pair AB, pair CD, centre pair AB, centre pair CD) flattened
+    # to (81, 16): ((k kab) kcd) F0(rho (P - Q)^2), summed over quartets in loop order.
+    coef = t["k"][:, :, None, None] * gauss.T[:, None, :, None] * gauss.T[None, :, None, :]
+    dpq = centre.T[:, None, :, None] - centre.T[None, :, None, :]
+    boys = _boys_f0(t["rho"][:, :, None, None] * _square(dpq))
+    g_ao = (coef * boys).reshape(81, 16).sum(axis=0).reshape(2, 2, 2, 2)
 
     # Symmetry MOs: sigma_g = (1 + 2)/sqrt(2(1+S)), sigma_u = (1 - 2)/sqrt(2(1-S)).
     cg = 1.0 / math.sqrt(2.0 * (1.0 + s12))
@@ -215,61 +211,57 @@ def _ladder(p: int, n: int, create: bool) -> dict:
 
 
 @functools.cache
-def _one_body_op(p: int, q: int, n: int) -> MappingProxyType:
-    """a+_p a_q as Pauli strings; distance-independent, built once per process."""
-    return MappingProxyType(_op_product(_ladder(p, n, True), _ladder(q, n, False)))
+def _jw_table():
+    """Jordan-Wigner map of E_nuc + sum h_pq a+_p a_q + 1/2 sum <pq|rs> a+_p a+_q a_s a_r.
 
+    A bond length enters only through the weights w = [E_nuc, h_mo, 1/2 g_mo]
+    (row-major): spin orbital i is spatial orbital i % 2 with spin i // 2, and
+    <pq|rs> = g_mo[p%2, r%2, q%2, s%2]; terms that break spin are zero and left
+    out. Returns the sorted Pauli strings and read-only (depth, strings) tables
+    of weight index and JW coefficient (real, imaginary): column j lists string
+    j's contributions in the order a term-by-term sum adds them, then zero
+    padding, so summing w[index] * coefficient row after row gives that sum bit
+    for bit (a zero weight adds a zero, which can only flip the sign of a pruned
+    zero sum). Built once per process, on first use.
+    """
+    n = 4
+    contributions: dict[str, list] = {"I" * n: [(0, 1.0)]}
 
-@functools.cache
-def _two_body_op(p: int, q: int, r: int, s: int, n: int) -> MappingProxyType:
-    """a+_p a+_q a_s a_r as Pauli strings; distance-independent, built once per process."""
-    op = _op_product(_ladder(p, n, True), _ladder(q, n, True))
-    op = _op_product(op, _ladder(s, n, False))
-    return MappingProxyType(_op_product(op, _ladder(r, n, False)))
-
-
-def jordan_wigner_terms(h_so: np.ndarray, v_so: np.ndarray, e_nuc: float) -> dict:
-    """Map sum h_pq a+_p a_q + 1/2 sum <pq|rs> a+_p a+_q a_s a_r + E_nuc to Pauli strings."""
-    n = h_so.shape[0]
-    total: dict[str, complex] = {"I" * n: complex(e_nuc)}
-
-    def accumulate(op: dict, weight: complex):
+    def add(op: dict, k: int):
         for s, c in op.items():
-            total[s] = total.get(s, 0) + weight * c
+            if c != 0:
+                contributions.setdefault(s, []).append((k, c))
 
-    for p in range(n):
-        for q in range(n):
-            if abs(h_so[p, q]) > 0:
-                accumulate(_one_body_op(p, q, n), h_so[p, q])
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    w = v_so[p, q, r, s]
-                    if abs(w) > 0:
-                        accumulate(_two_body_op(p, q, r, s, n), 0.5 * w)
-    return total
+    for p, q in itertools.product(range(n), repeat=2):
+        if p // 2 == q // 2:
+            add(_op_product(_ladder(p, n, True), _ladder(q, n, False)), 1 + 2 * (p % 2) + q % 2)
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        if p // 2 == r // 2 and q // 2 == s // 2:
+            ladders = [_ladder(i, n, c) for i, c in zip((p, q, s, r), (True, True, False, False))]
+            k = 5 + 8 * (p % 2) + 4 * (r % 2) + 2 * (q % 2) + s % 2
+            add(functools.reduce(_op_product, ladders), k)
+    strings = tuple(sorted(contributions))
+    shape = (max(map(len, contributions.values())), len(strings))
+    index, re, im = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)
+    for j, s in enumerate(strings):
+        for i, (k, c) in enumerate(contributions[s]):
+            index[i, j], re[i, j], im[i, j] = k, c.real, c.imag
+    index.flags.writeable = re.flags.writeable = im.flags.writeable = False
+    return strings, index, re, im
 
 
 def build_qubit_hamiltonian(integrals: MolecularIntegrals) -> QubitHamiltonian:
     """4-qubit Jordan-Wigner Hamiltonian with merged terms and pruned coefficients."""
-    n_spin = 4
-    spatial, spin = np.arange(n_spin) % 2, np.arange(n_spin) // 2
-    same = spin[:, None] == spin[None, :]
-    h_so = np.where(same, integrals.h_mo[np.ix_(spatial, spatial)], 0.0)
-    # <ij|kl> physicists' = (ik|jl) chemists' with matching spins.
-    chem = integrals.g_mo[np.ix_(spatial, spatial, spatial, spatial)].transpose(0, 2, 1, 3)
-    v_so = np.where(same[:, None, :, None] & same[None, :, None, :], chem, 0.0)
-
-    raw = jordan_wigner_terms(h_so, v_so, integrals.e_nuclear)
-    terms = []
-    for ops in sorted(raw):
-        coeff = raw[ops]
-        if abs(coeff.imag) > 1e-10:
-            raise ValueError(f"non-Hermitian JW coefficient {coeff} on {ops}")
-        if abs(coeff.real) >= COEFF_PRUNE_TOL:
-            terms.append(PauliString(ops, float(coeff.real)))
-    return QubitHamiltonian(n_qubits=n_spin, terms=tuple(terms), bond_length=integrals.bond_length)
+    strings, index, re, im = _jw_table()
+    w = np.concatenate(([integrals.e_nuclear], integrals.h_mo.ravel(),
+                        0.5 * integrals.g_mo.ravel()))[index]
+    real, imag = (w * re).sum(axis=0), (w * im).sum(axis=0)
+    if np.any(np.abs(imag) > 1e-10):
+        j = int(np.argmax(np.abs(imag)))
+        raise ValueError(f"non-Hermitian JW coefficient {real[j]} + {imag[j]}i on {strings[j]}")
+    terms = tuple(PauliString(s, c) for s, c in zip(strings, real.tolist())
+                  if abs(c) >= COEFF_PRUNE_TOL)
+    return QubitHamiltonian(n_qubits=4, terms=terms, bond_length=integrals.bond_length)
 
 
 def hamiltonian_for_distance(bond_length: float) -> QubitHamiltonian:
@@ -281,14 +273,15 @@ def hamiltonian_for_distance(bond_length: float) -> QubitHamiltonian:
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Returns (eigenvalues ascending, column eigenvectors). Raises
+    Returns (eigenvalues ascending, column eigenvectors). Raises ValueError,
+    before any sweep, unless the matrix is square, finite and Hermitian, and
     JacobiConvergenceError if the off-diagonal Frobenius norm does not fall
     below `tol` within `max_sweeps` sweeps.
     """
     a = np.array(matrix, dtype=complex)
     n = a.shape[0]
-    if a.shape != (n, n) or np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise ValueError("jacobi_eigh requires a Hermitian matrix")
+    if a.shape != (n, n) or not np.isfinite(a).all() or np.max(np.abs(a - a.conj().T)) > 1e-10:
+        raise ValueError("jacobi_eigh requires a finite Hermitian matrix")
     v = np.eye(n, dtype=complex)
 
     for _ in range(max_sweeps):
@@ -367,6 +360,8 @@ def hamiltonian_from_dict(doc: dict) -> QubitHamiltonian:
     terms = tuple(PauliString(t["pauli"], float(t["coeff"])) for t in doc["terms"])
     if any(t.n_qubits != n_qubits for t in terms):
         raise ValueError(f"a Pauli string does not act on n_qubits = {n_qubits} qubits")
+    if not terms or not math.isfinite(sum(abs(t.coefficient) for t in terms)):
+        raise ValueError("a Hamiltonian needs at least one term and a finite sum of |coefficients|")
     return QubitHamiltonian(n_qubits, terms, float(doc["bond_length_angstrom"]))
 
 

@@ -8,6 +8,7 @@ values are exact contractions (no sampling).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,17 +79,21 @@ def _apply_1q(amp: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return out.reshape(amp.shape) if batch else out.reshape(-1)
 
 
+@lru_cache(maxsize=256)
 def _pauli_action(ops: str, dim: int):
     """(idx, flipped, phase) with P|idx> = phase[idx] |flipped[idx]> on `dim` amplitudes.
 
     flipped = idx ^ x and phase = i^{n_Y} (-1)^{|idx & z|}, where x marks the
-    qubits carrying X or Y, and z those carrying Y or Z.
+    qubits carrying X or Y, and z those carrying Y or Z. Memoized (every string
+    on 4 qubits fits), so the arrays are shared and read-only.
     """
     x_mask = sum(1 << k for k, c in enumerate(ops) if c in "XY")
     z_mask = sum(1 << k for k, c in enumerate(ops) if c in "YZ")
     idx = np.arange(dim)
     sign = 1 - 2 * (np.bitwise_count(idx & z_mask).astype(np.int64) & 1)
-    return idx, idx ^ x_mask, (1j ** ops.count("Y")) * sign
+    flipped, phase = idx ^ x_mask, (1j ** ops.count("Y")) * sign
+    idx.flags.writeable = flipped.flags.writeable = phase.flags.writeable = False
+    return idx, flipped, phase
 
 
 def apply_pauli(state_amp: np.ndarray, ops: str) -> np.ndarray:

@@ -100,7 +100,8 @@ class TestVqeRun:
     @pytest.mark.parametrize("malform", ["terms_not_a_list", "coeff_is_a_list", "top_level_array",
                                          "grid_files_not_a_list", "grid_files_empty",
                                          "n_qubits_too_large", "pauli_string_too_short",
-                                         "two_qubit_hamiltonian", "eight_qubit_hamiltonian"])
+                                         "two_qubit_hamiltonian", "eight_qubit_hamiltonian",
+                                         "terms_empty", "coefficient_sum_overflows"])
     def test_malformed_ham_is_upstream_error(self, ham, tmp_path, malform):
         doc = json.loads(ham.read_text())
         if malform == "terms_not_a_list":
@@ -119,6 +120,10 @@ class TestVqeRun:
             doc["n_qubits"] = 8
             for t in doc["terms"]:
                 t["pauli"] += "IIII"
+        elif malform == "terms_empty":
+            doc["terms"] = []
+        elif malform == "coefficient_sum_overflows":
+            doc["terms"] += [{"pauli": "IIII", "coeff": 1e308}] * 2
         elif malform == "top_level_array":
             doc = [doc]
         else:

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
     _STO3G_COEFFS, _STO3G_EXPONENTS, ANGSTROM_TO_BOHR, COEFF_PRUNE_TOL, JacobiConvergenceError,
-    QubitHamiltonian, _boys_f0, _ladder, _op_product, _prim_norm, _transform_eri,
-    build_qubit_hamiltonian, exact_ground_energy, hamiltonian_for_distance,
-    hamiltonian_from_json, hamiltonian_to_dict, jacobi_eigh, jordan_wigner_terms,
-    sto3g_integrals,
+    QubitHamiltonian, _ladder, _op_product, _prim_norm, _transform_eri,
+    build_qubit_hamiltonian, exact_ground_energy, hamiltonian_for_distance, hamiltonian_from_dict,
+    hamiltonian_from_json, hamiltonian_to_dict, jacobi_eigh, sto3g_integrals,
 )
 from latentvqe.statevector import PauliString, StateVector, expectation
+from test_properties import kronecker_pauli_sum
 
 GRID = np.linspace(0.3, 2.85, 25)
 # 201 bond lengths over the supported range, both ends included.
@@ -28,6 +30,13 @@ def hartree_fock_state() -> StateVector:
 
 
 # --- reference build: the straight-line code the tables replace -------------
+
+def reference_boys_f0(x: float) -> float:
+    # F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)); series near 0 avoids 0/0.
+    if x < 1e-12:
+        return 1.0 - x / 3.0
+    return 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
+
 
 def reference_integrals(bond_length: float):
     """STO-3G integrals with every primitive constant recomputed in the loops."""
@@ -71,7 +80,7 @@ def reference_integrals(bond_length: float):
                 P = (ai * A + aj * B) / p
                 pref = ci * cj * (2.0 * math.pi / p) * math.exp(-mu * (A - B) ** 2)
                 for C in centers:
-                    v -= pref * _boys_f0(p * (P - C) ** 2)
+                    v -= pref * reference_boys_f0(p * (P - C) ** 2)
         return v
 
     def eri(A, B, C, D):
@@ -89,7 +98,7 @@ def reference_integrals(bond_length: float):
                         pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
                         val += (
                             ci * cj * ck * cl * pref * kab * kcd
-                            * _boys_f0(p * q / (p + q) * (P - Q) ** 2)
+                            * reference_boys_f0(p * q / (p + q) * (P - Q) ** 2)
                         )
         return val
 
@@ -163,26 +172,44 @@ def fock_space_matrix(h_so, v_so, e_nuc):
     return h
 
 
+def assert_integrals_bit_identical(r: float):
+    s12, h_mo, g_mo, e_nuc = reference_integrals(r)
+    ints = sto3g_integrals(r)
+    assert ints.overlap_s12 == s12
+    assert ints.e_nuclear == e_nuc
+    assert ints.h_mo.tobytes() == h_mo.tobytes()
+    assert ints.g_mo.tobytes() == g_mo.tobytes()
+
+
+def assert_terms_bit_identical(r: float):
+    _, h_mo, g_mo, e_nuc = reference_integrals(r)
+    raw = reference_jordan_wigner_terms(*spin_orbital_tensors(h_mo, g_mo), e_nuc)
+    assert all(abs(c.imag) <= 1e-10 for c in raw.values())
+    expected = {ops: float(c.real) for ops, c in raw.items() if abs(c.real) >= COEFF_PRUNE_TOL}
+    terms = hamiltonian_for_distance(r).terms
+    assert {t.ops: t.coefficient for t in terms} == expected
+    assert [t.ops for t in terms] == sorted(expected)
+
+
 class TestAgainstReferenceBuild:
     def test_integrals_bit_identical(self):
         for r in FULL_RANGE:
-            s12, h_mo, g_mo, e_nuc = reference_integrals(float(r))
-            ints = sto3g_integrals(float(r))
-            assert ints.overlap_s12 == s12
-            assert ints.e_nuclear == e_nuc
-            np.testing.assert_array_equal(ints.h_mo, h_mo)
-            np.testing.assert_array_equal(ints.g_mo, g_mo)
+            assert_integrals_bit_identical(float(r))
 
     def test_terms_bit_identical(self):
         for r in FULL_RANGE:
-            _, h_mo, g_mo, e_nuc = reference_integrals(float(r))
-            h_so, v_so = spin_orbital_tensors(h_mo, g_mo)
-            raw = reference_jordan_wigner_terms(h_so, v_so, e_nuc)
-            assert jordan_wigner_terms(h_so, v_so, e_nuc) == raw
-            expected = [(ops, float(raw[ops].real)) for ops in sorted(raw)
-                        if abs(raw[ops].real) >= COEFF_PRUNE_TOL]
-            got = [(t.ops, t.coefficient) for t in hamiltonian_for_distance(float(r)).terms]
-            assert got == expected
+            assert_terms_bit_identical(float(r))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.2, 5.0))
+    def test_random_bond_lengths_bit_identical(self, r):
+        assert_integrals_bit_identical(r)
+        assert_terms_bit_identical(r)
+
+    def test_matrix_bit_identical_to_kronecker_build(self):
+        for r in FULL_RANGE:
+            h = hamiltonian_for_distance(float(r))
+            assert h.matrix.tobytes() == kronecker_pauli_sum(h.terms, 4).tobytes()
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.735, 1.9, 5.0])
     def test_jordan_wigner_matches_fock_space_oracle(self, r):
@@ -340,6 +367,14 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_before_sweeping(self, bad, recwarn):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh(m)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_qubit_guard(self):
         h = QubitHamiltonian(7, (PauliString("IIIIIII", 1.0),), 0.0)
         with pytest.raises(ValueError):
@@ -359,3 +394,15 @@ class TestSerialization:
         doc["schema_version"] = "other/1"
         with pytest.raises(ValueError, match="schema"):
             hamiltonian_from_json(json.dumps(doc))
+
+    def test_empty_term_list_rejected(self):
+        doc = hamiltonian_to_dict(hamiltonian_for_distance(0.9))
+        doc["terms"] = []
+        with pytest.raises(ValueError, match="at least one term"):
+            hamiltonian_from_dict(doc)
+
+    def test_overflowing_coefficient_sum_rejected(self):
+        doc = hamiltonian_to_dict(hamiltonian_for_distance(0.9))
+        doc["terms"] += [{"pauli": "IIII", "coeff": 1e308}] * 2
+        with pytest.raises(ValueError, match="finite"):
+            hamiltonian_from_dict(doc)

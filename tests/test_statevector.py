@@ -5,7 +5,7 @@ from latentvqe.circuit import (
     Circuit, Gate, Param, gate_matrix, simulate, swap_test_circuit, u3_matrix,
 )
 from latentvqe.statevector import (
-    PauliString, StateVector, _apply_1q, expectation, partial_trace, zero_state,
+    PauliString, StateVector, _apply_1q, _pauli_action, expectation, partial_trace, zero_state,
 )
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -164,6 +164,16 @@ class TestExpectation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             expectation(zero_state(2), [PauliString("Z")])
+
+
+class TestPauliActionCache:
+    def test_shared_arrays_are_read_only(self):
+        action = _pauli_action("XYZI", 16)
+        assert _pauli_action("XYZI", 16) is action
+        for a in action:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[1]
 
 
 class TestPartialTrace:
