@@ -107,6 +107,22 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _checked(convert, ok, need: str):
+    """An argparse type: `convert` the text, then reject the value (exit 2) unless `ok`."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse says "invalid int value" if convert raises
+    return parse
+
+
+_RESTARTS = _checked(int, lambda v: v >= 1, "at least 1")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number above 0")
+
+
 # --- ham build ---------------------------------------------------------------
 
 def cmd_ham_build(args) -> int:
@@ -156,7 +172,7 @@ def _best_staged(circuit, hamiltonian, rng, restarts: int) -> dict:
     """Best of `restarts` staged solves from random starts (ties keep the earlier one)."""
     best = None
     evals = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
         res = staged_gate_optimize(circuit, hamiltonian, x0)
         evals += res["evaluations"]
@@ -272,12 +288,8 @@ def cmd_dataset_generate(args) -> int:
     grid = args.grid
     anchor_idx = int(np.argmin(np.abs(grid - args.anchor)))
     hams = [hamiltonian_for_distance(float(r)) for r in grid]
-    gt = exact_ground_energy(hams[anchor_idx])["energy"]
-
     best = _best_staged(circuit, hams[anchor_idx], named_rng(args.seed, "dataset/anchor"),
                         args.restarts)
-    anchor_error = best["energy"] - gt
-
     dataset = constrained_sweep(
         circuit, hams, anchor_idx, best["params"],
         StepConstraint(alpha=args.alpha, gamma=args.gamma), pqc_spec=LATENT_PQC_SPEC,
@@ -289,7 +301,7 @@ def cmd_dataset_generate(args) -> int:
                      "alpha": args.alpha, "gamma": args.gamma, "restarts": args.restarts},
                     [args.qae], [out], args.seed, t0)
     flags = sum(r.flag for r in dataset.records)
-    print(f"anchor error: {anchor_error:.3e}; flagged points: {flags}")
+    print(f"anchor error: {dataset.records[anchor_idx].error:.3e}; flagged points: {flags}")
     return EXIT_OK
 
 
@@ -343,11 +355,7 @@ def cmd_nn_eval(args) -> int:
         "n_gates": pqc_counts["n_gates"],
         "n_params": pqc_counts["n_params"],
         "seed": args.seed,
-        "points": [
-            {"bond_length": p["bond_length"], "energy": p["energy"],
-             "oracle_energy": p["oracle_energy"], "error": p["error"]}
-            for p in ev["per_point_errors"]
-        ],
+        "points": ev["per_point_errors"],
     }
     summary_path = Path(str(out) + ".summary.json")
     _write_json(summary_path, summary)
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ansatz", choices=("uccsd", "su2", "latent"), required=True)
     run.add_argument("--ham", required=True)
     run.add_argument("--qae", help="QAE model path (latent ansatz only)")
-    run.add_argument("--restarts", type=int, default=1)
+    run.add_argument("--restarts", type=_RESTARTS, default=1)
     run.add_argument("--max-iterations", type=int, default=None,
                      help="Nelder-Mead budget per start for uccsd/su2 (default 2000)")
     run.add_argument("--seed", type=int, default=0)
@@ -439,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     qtrain = qae_p.add_parser("train", help="train the 4->2 encoder on ground states")
     qtrain.add_argument("--bond-lengths", default="0.4,0.7,1.0,1.5,2.0,2.5")
-    qtrain.add_argument("--target", type=float, default=1e-8)
-    qtrain.add_argument("--restarts", type=int, default=20)
+    qtrain.add_argument("--target", type=_POSITIVE, default=1e-8)
+    qtrain.add_argument("--restarts", type=_RESTARTS, default=20)
     qtrain.add_argument("--max-iterations", type=int, default=1200)
     qtrain.add_argument("--seed", type=int, default=0)
     qtrain.add_argument("--out", required=True)
@@ -451,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = ds.add_parser("generate", help="constrained sweep over the bond-length grid")
     gen.add_argument("--qae", required=True)
     gen.add_argument("--grid", type=_parse_grid, default=_parse_grid("0.3:2.85:100"))
-    gen.add_argument("--anchor", type=float, default=0.735)
+    gen.add_argument("--anchor", type=_FINITE, default=0.735)
     gen.add_argument("--alpha", type=float, default=0.5)
     gen.add_argument("--gamma", type=float, default=0.05)
-    gen.add_argument("--restarts", type=int, default=10)
+    gen.add_argument("--restarts", type=_RESTARTS, default=10)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=cmd_dataset_generate)

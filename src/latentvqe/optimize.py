@@ -35,8 +35,8 @@ class OptimizerConfig:
     learning_rate: float = 0.05
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerance must be > 0 and max_iterations >= 1")
+        if self.tolerance <= 0 or self.max_iterations < 1 or self.restarts < 1:
+            raise ValueError("tolerance must be > 0, max_iterations and restarts >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,10 @@ def _observable(hamiltonian, n_qubits: int) -> np.ndarray:
 
 
 def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
-    """params -> <psi(params)|H|psi(params)> on the circuit's compiled plan.
-
-    A leading constant step is applied to `initial` once, and a trailing one,
-    T, is folded into the dense observable as T^dag H T. Each evaluation runs
-    `apply_circuit` on the gates in between.
-    """
+    """params -> <psi|H|psi> for psi = apply_circuit(initial, circuit, params), the whole plan."""
     hmat = _observable(hamiltonian, circuit.n_qubits)
-    amp0, steps = initial.amplitudes, circuit.plan.steps
-    lo, hi = 0, len(circuit.gates)
-    if steps and isinstance(steps[0], ConstantStep):
-        amp0, lo, steps = steps[0].apply(amp0), len(steps[0].gates), steps[1:]
-    if steps and isinstance(steps[-1], ConstantStep):
-        t = steps[-1].matrix
-        hmat, hi = t.conj().T @ hmat @ t, hi - len(steps[-1].gates)
-    inner = Circuit(circuit.n_qubits, circuit.gates[lo:hi], circuit.n_params)
     def cost(params):
-        amp = apply_circuit(amp0, inner, params)
+        amp = apply_circuit(initial.amplitudes, circuit, params)
         return float(np.real(np.vdot(amp, hmat @ amp)))
     return cost
 
@@ -368,19 +355,18 @@ def staged_gate_optimize(
     config = config or OptimizerConfig(tolerance=1e-11)
     n = circuit.n_qubits
     hmat = _observable(hamiltonian, n)
-    amp0 = zero_state(n).amplitudes
+    start = zero_state(n)
     lo, hi = (-math.inf, math.inf) if bounds is None else bounds
     params = np.clip(np.asarray(init, dtype=float), lo, hi)
     lo, hi = np.broadcast_to(lo, params.shape), np.broadcast_to(hi, params.shape)
     _check_u3_slots(circuit)
 
-    amp = apply_circuit(amp0, circuit, params)
-    energy = float(np.real(np.vdot(amp, hmat @ amp)))
+    energy = energy_fn(circuit, hamiltonian, start)(params)
     evaluations = 1
     for sweeps in range(1, _SWEEP_CAP + 1):
         sweep_start = energy
         # the walk sees the in-place updates of params below in later prefixes
-        for gate, prefix, kmat in _free_gate_walk(circuit, hmat, params, amp0):
+        for gate, prefix, kmat in _free_gate_walk(circuit, hmat, params, start.amplitudes):
             angles = lambda x: np.array([[p.value(x) for p in gate.params]])
             for phase, trials in zip(([2], [0, 1]), _TRIALS):
                 sub = [gate.params[k].slot for k in phase]
@@ -413,7 +399,7 @@ def optimize_vqe(
     cost = energy_fn(circuit, hamiltonian, zero_state(circuit.n_qubits))
     best = None
     evaluations = 0
-    for attempt in range(max(1, config.restarts)):
+    for attempt in range(config.restarts):
         if attempt == 0 and initial is not None:
             x0 = np.asarray(initial, dtype=float)
         else:
@@ -518,7 +504,6 @@ def constrained_sweep(
     anchor_index: int,
     anchor_params,
     constraint: StepConstraint,
-    config: OptimizerConfig | None = None,
     pqc_spec: dict | None = None,
 ) -> ParameterDataset:
     """Walk the bond-length grid outward from a fully optimized anchor.
@@ -529,8 +514,8 @@ def constrained_sweep(
     points whose energy error exceeds 100x the anchor's are flagged as
     discontinuity symptoms. delta is the secant theta_{i-1} - theta_{i-2};
     on the first step out of the anchor, where there is no second point, it
-    is the tangent predictor `first_step_delta` at the anchor angles. `config`
-    goes to every staged solve (None: staged_gate_optimize's 1e-11 Hartree stop).
+    is the tangent predictor `first_step_delta` at the anchor angles. Each
+    step is a staged solve with its default 1e-11 Hartree stop.
     """
     hamiltonians = list(hamiltonians)
     if not 0 <= anchor_index < len(hamiltonians):
@@ -559,9 +544,7 @@ def constrained_sweep(
             delta = first_step_delta(circuit, hamiltonians[idx], prev)
         while 0 <= idx < len(hamiltonians):
             lo, hi = constraint.bounds(prev, delta)
-            res = staged_gate_optimize(
-                circuit, hamiltonians[idx], prev + delta, config=config, bounds=(lo, hi)
-            )
+            res = staged_gate_optimize(circuit, hamiltonians[idx], prev + delta, bounds=(lo, hi))
             err = res["energy"] - oracle[idx]
             results[idx] = DatasetRecord(
                 hamiltonians[idx].bond_length,

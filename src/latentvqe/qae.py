@@ -120,7 +120,7 @@ def train_qae(
 
     best_params = None
     best_cost = math.inf
-    for _ in range(max(1, config.restarts)):
+    for _ in range(config.restarts):
         x0 = rng.uniform(0.0, 2.0 * math.pi, ENCODER.n_params)
         res = adam_minimize(cost, grad, x0, config, stop_below=target / 10.0)
         if res["value"] < best_cost:

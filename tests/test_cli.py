@@ -213,6 +213,28 @@ class TestQaeTrainCli:
         assert code == EXIT_NUMERICAL
 
 
+MALFORMED_OPTIONS = {
+    "vqe run": ["vqe", "run", "--ansatz", "uccsd", "--ham", "ham.json"],
+    "qae train": ["qae", "train"],
+    "dataset generate": ["dataset", "generate", "--qae", "qae.json"],
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    *[(c, "--restarts", v) for c in MALFORMED_OPTIONS for v in ("0", "-1")],
+    ("dataset generate", "--anchor", "nan"),
+    ("qae train", "--target", "nan"),
+    ("qae train", "--target", "0"),
+])
+def test_malformed_option_is_usage_error(tmp_path, capsys, command, option, value):
+    # rejected by the parser, before any artifact is read or any work starts
+    with pytest.raises(SystemExit) as err:
+        run(*MALFORMED_OPTIONS[command], option, value, "--out", tmp_path / "out")
+    assert err.value.code == EXIT_USAGE
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestNnTrainCli:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_angle_is_numerical_failure(self, tmp_path):

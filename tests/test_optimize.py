@@ -560,3 +560,8 @@ class TestOptimizerConfig:
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            OptimizerConfig(restarts=restarts)

@@ -110,7 +110,7 @@ def test_parameter_shape_must_match_the_circuit(shape):
 @pytest.mark.parametrize("name", ["uccsd", "su2", "latent"])
 def test_energy_fn_matches_pauli_string_expectation(name):
     circuit = CIRCUITS[name]()
-    # UCCSD and latent end in a constant step that energy_fn folds into H
+    # UCCSD and latent end in a constant step, SU2 in a layer; energy_fn runs all of it
     assert isinstance(compile_plan(circuit).steps[-1], ConstantStep) == (name != "su2")
     rng = np.random.default_rng(3)
     for r in (0.5, 0.735, 2.0):
@@ -124,7 +124,7 @@ def test_energy_fn_matches_pauli_string_expectation(name):
 
 
 def test_energy_fn_from_a_non_vacuum_state():
-    # the leading constant step is applied to the given initial state
+    # UCCSD's plan starts with a constant step, applied to the given state
     circuit = uccsd_h2()
     rng = np.random.default_rng(5)
     amp = random_amplitudes(rng, 4)
@@ -297,17 +297,48 @@ def test_plan_is_compiled_once_per_circuit():
 
 @pytest.mark.parametrize("name", ["uccsd", "su2", "latent"])
 def test_energy_fn_runs_apply_circuit_once_per_evaluation(name, monkeypatch):
-    # the gates between the folded constant steps go through apply_circuit, so
-    # a wrapper on optimize.apply_circuit sees every energy evaluation
+    # the whole circuit goes through apply_circuit, so a wrapper on
+    # optimize.apply_circuit sees every energy evaluation
     circuit = CIRCUITS[name]()
     seen = []
-    def counting(amp, inner, params):
-        seen.append(len(inner.gates))
-        return apply_circuit(amp, inner, params)
+    def counting(amp, circ, params):
+        seen.append(len(circ.gates))
+        return apply_circuit(amp, circ, params)
     monkeypatch.setattr(optimize, "apply_circuit", counting)
     cost = energy_fn(circuit, hamiltonian_for_distance(0.735), zero_state(4))
     for x in np.random.default_rng(1).uniform(-np.pi, np.pi, (3, circuit.n_params)):
         cost(x)
-    steps = compile_plan(circuit).steps
-    folded = sum(len(s.gates) for s in (steps[0], steps[-1]) if isinstance(s, ConstantStep))
-    assert seen == [len(circuit.gates) - folded] * 3
+    assert seen == [len(circuit.gates)] * 3
+
+
+@pytest.mark.parametrize("name", ["uccsd", "su2", "latent"])
+def test_energy_fn_is_the_whole_plan_vdot(name):
+    # energy_fn is Re vdot(psi, H psi) of the whole plan, bit for bit
+    circuit = CIRCUITS[name]()
+    h = hamiltonian_for_distance(1.1)
+    rng = np.random.default_rng(11)
+    for initial in (zero_state(4), StateVector(4, random_amplitudes(rng, 4))):
+        cost = energy_fn(circuit, h, initial)
+        for x in rng.uniform(-np.pi, np.pi, (4, circuit.n_params)):
+            amp = apply_circuit(initial.amplitudes, circuit, x)
+            assert cost(x) == float(np.real(np.vdot(amp, h.matrix @ amp)))
+
+
+def test_staged_start_energy_is_the_whole_plan_vdot(monkeypatch):
+    # the staged solve takes its start energy from energy_fn, once, at the start angles
+    circuit = latent_circuit()
+    h = hamiltonian_for_distance(1.1)
+    x0 = np.random.default_rng(12).uniform(-np.pi, np.pi, circuit.n_params)
+    starts = []
+    def recording(*args):
+        cost = energy_fn(*args)
+        def record(x):
+            starts.append((x.copy(), cost(x)))
+            return starts[-1][1]
+        return record
+    monkeypatch.setattr(optimize, "energy_fn", recording)
+    optimize.staged_gate_optimize(circuit, h, x0)
+    [(x, value)] = starts
+    np.testing.assert_array_equal(x, x0)
+    amp = apply_circuit(zero_state(4).amplitudes, circuit, x0)
+    assert value == float(np.real(np.vdot(amp, h.matrix @ amp)))
