@@ -2,7 +2,9 @@
 
 Verbs: ham build, vqe run, qae train, dataset generate, nn train, nn eval,
 report. Every command writes its artifact plus a <out>.manifest.json run
-manifest. All randomness flows from --seed through named streams, so a rerun
+manifest: each cmd_* function writes its artifacts and returns (manifest path,
+config, inputs, outputs, result), and `main` writes the manifest. Option
+defaults that the library also uses are read from it. All randomness flows from --seed through named streams, so a rerun
 with the same inputs and seed reproduces every artifact byte for byte
 (manifests record wall time and are the one exception).
 
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 missing/invalid upstream artifact,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,11 +33,12 @@ from .hamiltonian import (
     hamiltonian_from_json, hamiltonian_to_dict,
 )
 from .optimize import (
-    LATENT_PQC_SPEC, NumericalError, OptimizerConfig, StepConstraint, constrained_sweep,
-    dataset_from_csv, dataset_to_csv, optimize_vqe, staged_gate_optimize,
+    NumericalError, OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
+    dataset_to_csv, optimize_vqe, staged_gate_optimize,
 )
 from .qae import (
-    LATENT_PQC, QaeTrainingError, latent_vqe_circuit, qae_from_json, qae_to_dict, train_qae,
+    DEFAULT_TRAINING_BOND_LENGTHS, LATENT_PQC, QAE_CONFIG, QAE_TARGET, QaeTrainingError,
+    latent_vqe_circuit, qae_from_json, qae_to_dict, train_qae,
 )
 from .rng import named_rng
 
@@ -70,7 +74,7 @@ def _read_artifact(path: Path, loader, what: str):
         raise UpstreamArtifactError(f"{what} not found: {path}")
     try:
         return loader(path.read_text())
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UpstreamArtifactError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -125,8 +129,7 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number above 0
 
 # --- ham build ---------------------------------------------------------------
 
-def cmd_ham_build(args) -> int:
-    t0 = time.time()
+def cmd_ham_build(args):
     out = Path(args.out)
     if args.grid is not None:
         grid = args.grid
@@ -141,12 +144,9 @@ def cmd_ham_build(args) -> int:
         }
         _write_json(out / "index.json", index)
         outputs = [out / f for f in files] + [out / "index.json"]
-        _write_manifest(out / "index.json", "ham build", {"grid": [float(r) for r in grid]},
-                        [], outputs, args.seed, t0)
-    else:
-        _write_json(out, hamiltonian_to_dict(hamiltonian_for_distance(args.distance)))
-        _write_manifest(out, "ham build", {"distance": args.distance}, [], [out], args.seed, t0)
-    return EXIT_OK
+        return out / "index.json", {"grid": [float(r) for r in grid]}, [], outputs, None
+    _write_json(out, hamiltonian_to_dict(hamiltonian_for_distance(args.distance)))
+    return out, {"distance": args.distance}, [], [out], None
 
 
 def _load_ham_points(path: Path):
@@ -187,8 +187,7 @@ def _latent_circuit_from(args):
     return latent_vqe_circuit(_read_artifact(Path(args.qae), qae_from_json, "QAE model"))
 
 
-def cmd_vqe_run(args) -> int:
-    t0 = time.time()
+def cmd_vqe_run(args):
     if args.ansatz == "latent" and args.max_iterations is not None:
         raise ValueError("--max-iterations bounds the Nelder-Mead simplex of uccsd/su2 only; "
                          "the staged latent solve does not take it")
@@ -209,6 +208,8 @@ def cmd_vqe_run(args) -> int:
     counts = resource_counts(LATENT_PQC if args.ansatz == "latent" else circuit)
 
     method = "staged" if args.ansatz == "latent" else "nm"
+    budget = {} if args.max_iterations is None else {"max_iterations": args.max_iterations}
+    config = OptimizerConfig(restarts=args.restarts, **budget)
     results, stops = [], []
     for i, (bond, h) in enumerate(points):
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
@@ -216,12 +217,8 @@ def cmd_vqe_run(args) -> int:
         if method == "staged":
             res = _best_staged(circuit, h, rng, args.restarts)
         else:
-            cfg = OptimizerConfig(
-                max_iterations=2000 if args.max_iterations is None else args.max_iterations,
-                tolerance=1e-10, restarts=args.restarts,
-            )
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
-            res = optimize_vqe(circuit, h, cfg, rng=rng, initial=initial)
+            res = optimize_vqe(circuit, h, config, rng=rng, initial=initial)
             stops.append({"bond_length": bond, "iterations": res["iterations"],
                           "stop_reason": res["stop_reason"]})
         results.append({
@@ -249,39 +246,27 @@ def cmd_vqe_run(args) -> int:
                     ("bond_length", "energy", "oracle_energy", "error", "params", "evaluations")})
     out = Path(args.out)
     _write_json(out, doc)
-    _write_manifest(out, "vqe run",
-                    {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},
-                    inputs, [out], args.seed, t0, {"points": stops} if stops else None)
-    return EXIT_OK
+    return (out, {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},
+            inputs, [out], {"points": stops} if stops else None)
 
 
 # --- qae train ---------------------------------------------------------------
 
-def cmd_qae_train(args) -> int:
-    t0 = time.time()
+def cmd_qae_train(args):
     bond_lengths = tuple(float(x) for x in args.bond_lengths.split(","))
-    config = OptimizerConfig(
-        max_iterations=args.max_iterations,
-        tolerance=1e-13,
-        restarts=args.restarts,
-        seed=_subseed(args.seed, "qae"),
-        learning_rate=0.1,
-    )
+    config = dataclasses.replace(QAE_CONFIG, max_iterations=args.max_iterations,
+                                 restarts=args.restarts, seed=_subseed(args.seed, "qae"))
     model = train_qae(bond_lengths, config=config, target=args.target)
     out = Path(args.out)
     _write_json(out, qae_to_dict(model))
-    _write_manifest(out, "qae train",
-                    {"bond_lengths": list(bond_lengths), "target": args.target,
-                     "restarts": args.restarts},
-                    [], [out], args.seed, t0)
     print(f"trash infidelity: {model.achieved_trash_infidelity:.3e}")
-    return EXIT_OK
+    return (out, {"bond_lengths": list(bond_lengths), "target": args.target,
+                  "restarts": args.restarts}, [], [out], None)
 
 
 # --- dataset generate ----------------------------------------------------------
 
-def cmd_dataset_generate(args) -> int:
-    t0 = time.time()
+def cmd_dataset_generate(args):
     model = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
     circuit = latent_vqe_circuit(model)
 
@@ -290,25 +275,20 @@ def cmd_dataset_generate(args) -> int:
     hams = [hamiltonian_for_distance(float(r)) for r in grid]
     best = _best_staged(circuit, hams[anchor_idx], named_rng(args.seed, "dataset/anchor"),
                         args.restarts)
-    dataset = constrained_sweep(
-        circuit, hams, anchor_idx, best["params"],
-        StepConstraint(alpha=args.alpha, gamma=args.gamma), pqc_spec=LATENT_PQC_SPEC,
-    )
+    dataset = constrained_sweep(circuit, hams, anchor_idx, best["params"],
+                                StepConstraint(alpha=args.alpha, gamma=args.gamma))
     out = Path(args.out)
     _write(out, dataset_to_csv(dataset))
-    _write_manifest(out, "dataset generate",
-                    {"grid": [float(r) for r in grid], "anchor": float(grid[anchor_idx]),
-                     "alpha": args.alpha, "gamma": args.gamma, "restarts": args.restarts},
-                    [args.qae], [out], args.seed, t0)
     flags = sum(r.flag for r in dataset.records)
     print(f"anchor error: {dataset.records[anchor_idx].error:.3e}; flagged points: {flags}")
-    return EXIT_OK
+    return (out, {"grid": [float(r) for r in grid], "anchor": float(grid[anchor_idx]),
+                  "alpha": args.alpha, "gamma": args.gamma, "restarts": args.restarts},
+            [args.qae], [out], None)
 
 
 # --- nn train / nn eval ---------------------------------------------------------
 
-def cmd_nn_train(args) -> int:
-    t0 = time.time()
+def cmd_nn_train(args):
     dataset = _read_artifact(Path(args.dataset), dataset_from_csv, "parameter dataset")
     config = mlp.TrainConfig(
         epochs=args.epochs,
@@ -318,18 +298,15 @@ def cmd_nn_train(args) -> int:
     result = mlp.train(dataset, config)
     out = Path(args.out)
     _write_json(out, mlp.model_to_dict(result["model"]))
-    stop = {"iterations": result["iterations"], "stop_reason": result["stop_reason"]}
-    _write_manifest(out, "nn train",
-                    {"epochs": args.epochs, "train_fraction": args.train_fraction},
-                    [args.dataset], [out], args.seed, t0, stop)
     print(f"final train loss: {result['final_train_loss']:.3e}; "
           f"test loss: {result['test_loss']:.3e}")
     print(f"stopped on {result['stop_reason']} after {result['iterations']} iterations")
-    return EXIT_OK
+    stop = {"iterations": result["iterations"], "stop_reason": result["stop_reason"]}
+    return (out, {"epochs": args.epochs, "train_fraction": args.train_fraction},
+            [args.dataset], [out], stop)
 
 
-def cmd_nn_eval(args) -> int:
-    t0 = time.time()
+def cmd_nn_eval(args):
     model = _read_artifact(Path(args.model), mlp.model_from_json, "MLP model")
     if model.layer_sizes[-1] != LATENT_PQC.n_params:
         raise UpstreamArtifactError(f"MLP model {args.model} predicts {model.layer_sizes[-1]} "
@@ -359,29 +336,28 @@ def cmd_nn_eval(args) -> int:
     }
     summary_path = Path(str(out) + ".summary.json")
     _write_json(summary_path, summary)
-    _write_manifest(out, "nn eval", {"grid": [float(r) for r in grid]},
-                    [args.model, args.qae], [out, summary_path], args.seed, t0)
     print(f"energy MAE: {ev['mae']:.3e}")
-    return EXIT_OK
+    return (out, {"grid": [float(r) for r in grid]}, [args.model, args.qae],
+            [out, summary_path], None)
 
 
 # --- report -------------------------------------------------------------------
 
-def _load_result(path: Path) -> dict:
-    doc = _read_json(path, "result file")
+def _result_row(text: str) -> dict:
+    """The fields of a vqe-result or nn-eval-summary file that `report` reads."""
+    doc = require_schema(json.loads(text), "result file")
     if doc.get("kind") not in ("vqe-result", "nn-eval-summary"):
-        raise UpstreamArtifactError(f"{path} is not a result file (kind={doc.get('kind')!r})")
-    return doc
+        raise ValueError(f"not a result file (kind={doc.get('kind')!r})")
+    if not isinstance(doc["method"], str):
+        raise ValueError(f"method must be a string, got {doc['method']!r}")
+    return {"method": doc["method"], "mae": float(doc["mae"]),
+            "n_gates": doc["n_gates"], "n_params": doc["n_params"],
+            "points": [(float(p["bond_length"]), float(p["energy"]))
+                       for p in doc.get("points") or []]}
 
 
-def cmd_report(args) -> int:
-    t0 = time.time()
-    docs = [_load_result(Path(p)) for p in args.results]
-    rows = [
-        {"method": d["method"], "mae": d["mae"],
-         "n_gates": d["n_gates"], "n_params": d["n_params"]}
-        for d in docs
-    ]
+def cmd_report(args):
+    rows = [_read_artifact(Path(p), _result_row, "result file") for p in args.results]
     out = Path(args.out)
     csv_lines = ["method,mae,n_gates,n_params"]
     for r in rows:
@@ -399,16 +375,14 @@ def cmd_report(args) -> int:
     _write(txt_path, "\n".join(table) + "\n")
 
     outputs = [out, txt_path]
-    for d in docs:
-        if "points" in d and d["points"]:
-            dat = [f"{p['bond_length']:.17g} {p['energy']:.17g}" for p in d["points"]]
-            dat_path = Path(f"{out}_{d['method']}.dat")
-            _write(dat_path, "\n".join(dat) + "\n")
+    for r in rows:
+        if r["points"]:
+            dat_path = Path(f"{out}_{r['method']}.dat")
+            dat = "".join(f"{bond:.17g} {energy:.17g}\n" for bond, energy in r["points"])
+            _write(dat_path, dat)
             outputs.append(dat_path)
-    _write_manifest(out, "report", {"inputs": list(args.results)},
-                    list(args.results), outputs, None, t0)
     print("\n".join(table))
-    return EXIT_OK
+    return out, {"inputs": list(args.results)}, list(args.results), outputs, None
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -436,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ansatz", choices=("uccsd", "su2", "latent"), required=True)
     run.add_argument("--ham", required=True)
     run.add_argument("--qae", help="QAE model path (latent ansatz only)")
-    run.add_argument("--restarts", type=_RESTARTS, default=1)
+    run.add_argument("--restarts", type=_RESTARTS, default=OptimizerConfig().restarts)
     run.add_argument("--max-iterations", type=int, default=None,
-                     help="Nelder-Mead budget per start for uccsd/su2 (default 2000)")
+                     help="Nelder-Mead budget per start for uccsd/su2 "
+                          f"(default {OptimizerConfig().max_iterations})")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", required=True)
     run.set_defaults(fn=cmd_vqe_run)
@@ -446,10 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     qae_p = sub.add_parser("qae", help="quantum autoencoder").add_subparsers(
         dest="subcommand", required=True)
     qtrain = qae_p.add_parser("train", help="train the 4->2 encoder on ground states")
-    qtrain.add_argument("--bond-lengths", default="0.4,0.7,1.0,1.5,2.0,2.5")
-    qtrain.add_argument("--target", type=_POSITIVE, default=1e-8)
-    qtrain.add_argument("--restarts", type=_RESTARTS, default=20)
-    qtrain.add_argument("--max-iterations", type=int, default=1200)
+    qtrain.add_argument("--bond-lengths",
+                        default=",".join(str(r) for r in DEFAULT_TRAINING_BOND_LENGTHS))
+    qtrain.add_argument("--target", type=_POSITIVE, default=QAE_TARGET)
+    qtrain.add_argument("--restarts", type=_RESTARTS, default=QAE_CONFIG.restarts)
+    qtrain.add_argument("--max-iterations", type=int, default=QAE_CONFIG.max_iterations)
     qtrain.add_argument("--seed", type=int, default=0)
     qtrain.add_argument("--out", required=True)
     qtrain.set_defaults(fn=cmd_qae_train)
@@ -460,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--qae", required=True)
     gen.add_argument("--grid", type=_parse_grid, default=_parse_grid("0.3:2.85:100"))
     gen.add_argument("--anchor", type=_FINITE, default=0.735)
-    gen.add_argument("--alpha", type=float, default=0.5)
-    gen.add_argument("--gamma", type=float, default=0.05)
+    gen.add_argument("--alpha", type=float, default=StepConstraint().alpha)
+    gen.add_argument("--gamma", type=float, default=StepConstraint().gamma)
     gen.add_argument("--restarts", type=_RESTARTS, default=10)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
@@ -471,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     ntrain = nn.add_parser("train", help="fit the MLP on a parameter dataset")
     ntrain.add_argument("--dataset", required=True)
-    ntrain.add_argument("--epochs", type=int, default=60000,
+    ntrain.add_argument("--epochs", type=int, default=mlp.TrainConfig().epochs,
                         help="L-BFGS iteration cap; training stops earlier once every "
                              f"loss-gradient component is at most {mlp.GRADIENT_TOL:g}")
-    ntrain.add_argument("--train-fraction", type=float, default=0.7)
+    ntrain.add_argument("--train-fraction", type=float, default=mlp.TrainConfig().train_fraction)
     ntrain.add_argument("--seed", type=int, default=0)
     ntrain.add_argument("--out", required=True)
     ntrain.set_defaults(fn=cmd_nn_train)
@@ -496,8 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.time()
     try:
-        return args.fn(args)
+        out, config, inputs, outputs, result = args.fn(args)
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        _write_manifest(out, command, config, inputs, outputs, getattr(args, "seed", None), t0,
+                        result)
+        return EXIT_OK
     except UpstreamArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM

@@ -270,13 +270,17 @@ def hamiltonian_for_distance(bond_length: float) -> QubitHamiltonian:
 
 # --- exact diagonalization oracle -------------------------------------------
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
+JACOBI_TOL = 1e-12         # stop once the off-diagonal Frobenius norm is below this
+JACOBI_MAX_SWEEPS = 200    # JacobiConvergenceError after this many sweeps
+
+
+def jacobi_eigh(matrix: np.ndarray):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, column eigenvectors). Raises ValueError,
     before any sweep, unless the matrix is square, finite and Hermitian, and
     JacobiConvergenceError if the off-diagonal Frobenius norm does not fall
-    below `tol` within `max_sweeps` sweeps.
+    below JACOBI_TOL within JACOBI_MAX_SWEEPS sweeps.
     """
     a = np.array(matrix, dtype=complex)
     n = a.shape[0]
@@ -284,15 +288,15 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
         raise ValueError("jacobi_eigh requires a finite Hermitian matrix")
     v = np.eye(n, dtype=complex)
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < tol:
+        if off < JACOBI_TOL:
             order = np.argsort(np.diag(a).real)
             return np.diag(a).real[order], v[:, order]
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) < tol / (n * n):
+                if abs(apq) < JACOBI_TOL / (n * n):
                     continue
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
                 if tau >= 0:
@@ -319,7 +323,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
                 v[:, p] = c * vp - s * np.conj(phase) * vq
                 v[:, q] = s * phase * vp + c * vq
     raise JacobiConvergenceError(
-        f"off-diagonal norm did not reach {tol} in {max_sweeps} sweeps"
+        f"off-diagonal norm did not reach {JACOBI_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
     )
 
 

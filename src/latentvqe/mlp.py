@@ -296,7 +296,7 @@ def model_from_dict(doc: dict) -> MlpModel:
     # _forward computes tanh hidden layers only
     if doc["activation"] != "tanh":
         raise ValueError(f"unsupported activation {doc['activation']!r}; only 'tanh' is computed")
-    return MlpModel(
+    model = MlpModel(
         layer_sizes=tuple(doc["layer_sizes"]),
         weights=tuple(np.array(w) for w in doc["weights"]),
         biases=tuple(np.array(b) for b in doc["biases"]),
@@ -305,6 +305,10 @@ def model_from_dict(doc: dict) -> MlpModel:
         seed=int(doc["seed"]),
         dataset_hash=doc["dataset_hash"],
     )
+    if not all(np.all(np.isfinite(a)) for a in (*model.weights, *model.biases,
+                                                 model.input_min, model.input_max)):
+        raise ValueError("model weights, biases and input normalization must be finite")
+    return model
 
 
 def model_to_json(model: MlpModel) -> str:

@@ -32,7 +32,6 @@ class OptimizerConfig:
     tolerance: float = 1e-10
     restarts: int = 1
     seed: int = 0
-    learning_rate: float = 0.05
 
     def __post_init__(self):
         if self.tolerance <= 0 or self.max_iterations < 1 or self.restarts < 1:
@@ -216,7 +215,7 @@ def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_stat
 
 
 def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> dict:
-    """Adam on an explicit gradient, tracking the best value seen.
+    """Adam (step 0.1) on an explicit gradient, tracking the best value seen.
 
     Stops early when the gradient infinity-norm drops below config.tolerance
     or (if given) the cost falls below `stop_below`.
@@ -224,7 +223,7 @@ def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> d
     x = np.asarray(x0, dtype=float).copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
     best_x, best_f = x.copy(), float(cost(x))
     evals = 1
     for t in range(1, config.max_iterations + 1):
@@ -233,7 +232,7 @@ def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> d
         v = beta2 * v + (1 - beta2) * g * g
         mhat = m / (1 - beta1**t)
         vhat = v / (1 - beta2**t)
-        x = x - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+        x = x - step * mhat / (np.sqrt(vhat) + eps)
         fx = float(cost(x))
         evals += 1
         if not math.isfinite(fx):
@@ -504,7 +503,6 @@ def constrained_sweep(
     anchor_index: int,
     anchor_params,
     constraint: StepConstraint,
-    pqc_spec: dict | None = None,
 ) -> ParameterDataset:
     """Walk the bond-length grid outward from a fully optimized anchor.
 
@@ -515,7 +513,8 @@ def constrained_sweep(
     discontinuity symptoms. delta is the secant theta_{i-1} - theta_{i-2};
     on the first step out of the anchor, where there is no second point, it
     is the tangent predictor `first_step_delta` at the anchor angles. Each
-    step is a staged solve with its default 1e-11 Hartree stop.
+    step is a staged solve with its default 1e-11 Hartree stop. The dataset
+    is tagged LATENT_PQC_SPEC.
     """
     hamiltonians = list(hamiltonians)
     if not 0 <= anchor_index < len(hamiltonians):
@@ -558,7 +557,7 @@ def constrained_sweep(
             idx += direction
 
     records = tuple(results[i] for i in sorted(results))
-    return ParameterDataset(records, anchor_index, pqc_spec)
+    return ParameterDataset(records, anchor_index, LATENT_PQC_SPEC)
 
 
 # --- dataset CSV ------------------------------------------------------------
@@ -599,11 +598,9 @@ def dataset_from_csv(text: str) -> ParameterDataset:
         cells = ln.split(",")
         if len(cells) < 4:
             raise ValueError(f"dataset row has {len(cells)} cells, need at least 4: {ln!r}")
-        records.append(DatasetRecord(
-            float(cells[0]),
-            np.array([float(c) for c in cells[4:]]),
-            float(cells[1]),
-            float(cells[2]),
-            bool(int(cells[3])),
-        ))
+        bond, energy, oracle = (float(c) for c in cells[:3])
+        flag, angles = int(cells[3]), np.array([float(c) for c in cells[4:]])
+        if flag not in (0, 1) or not np.all(np.isfinite([bond, energy, oracle, *angles])):
+            raise ValueError(f"dataset row needs finite numbers and a 0 or 1 flag: {ln!r}")
+        records.append(DatasetRecord(bond, angles, energy, oracle, bool(flag)))
     return ParameterDataset(tuple(records), int(meta["anchor_index"]), meta.get("pqc_spec"))

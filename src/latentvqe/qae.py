@@ -28,6 +28,9 @@ TRASH_QUBITS = (2, 3)
 ENCODER = qae_encoder(len(LATENT_QUBITS) + len(TRASH_QUBITS), 2)
 _ENCODER_JSON = canonical_json(circuit_to_dict(ENCODER))
 DEFAULT_TRAINING_BOND_LENGTHS = (0.4, 0.7, 1.0, 1.5, 2.0, 2.5)
+# Adam budget, gradient stop and restart budget of QAE training, and the trash cost it aims below
+QAE_CONFIG = OptimizerConfig(max_iterations=1200, tolerance=1e-13, restarts=20)
+QAE_TARGET = 1e-8
 
 
 class QaeTrainingError(RuntimeError):
@@ -98,22 +101,19 @@ def training_states_for(bond_lengths) -> list[StateVector]:
 
 def train_qae(
     bond_lengths=DEFAULT_TRAINING_BOND_LENGTHS,
-    config: OptimizerConfig | None = None,
-    target: float = 1e-8,
+    config: OptimizerConfig = QAE_CONFIG,
+    target: float = QAE_TARGET,
 ) -> QaeModel:
     """Train the 2-layer encoder on exact ground states at the given bond lengths.
 
     Each restart runs Adam from a fresh random initialization. Restarts
     continue until the trash cost beats `target` or the restart budget
-    (config.restarts, default 20) runs out; raises QaeTrainingError if the
+    (config.restarts) runs out; raises QaeTrainingError if the
     best cost is still above 1e-4 then.
     """
     bond_lengths = tuple(float(r) for r in bond_lengths)
     if len(bond_lengths) < 2:
         raise ValueError("need at least 2 training bond lengths")
-    config = config or OptimizerConfig(
-        max_iterations=1200, tolerance=1e-13, restarts=20, learning_rate=0.1,
-    )
     states = training_states_for(bond_lengths)
     cost, grad = _batched_trash_cost_fn(ENCODER, states)
     rng = np.random.default_rng(config.seed)

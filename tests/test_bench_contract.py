@@ -1,14 +1,15 @@
-"""The package names that the benchmark harness in bench/ relies on.
+"""The package names and call shapes that the benchmark harness in bench/ relies on.
 
 bench/ reaches into the package by name: `bench/tracing.py` wraps the
 functions in its TARGETS list, and the other scripts import what they time
-or check. A rename in the package would otherwise only show when the
-benchmark runs. bench/tracing.py is loaded by path; the other scripts are
-only parsed, not run.
+or check. A rename or a signature change in the package would otherwise only
+show when the benchmark runs. bench/tracing.py is loaded by path; the other
+scripts are only parsed, not run.
 """
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from latentvqe import circuit, cli, optimize
@@ -51,6 +52,65 @@ def test_micro_and_checks_imports_resolve():
     assert ("latentvqe.qae", "latent_vqe_circuit") in names
     assert ("latentvqe.optimize", "dataset_from_csv") in names
     assert [(m, n) for m, n in names if not resolves(m, n)] == []
+
+
+def package_object(module: str, name: str):
+    """What `from module import name` binds."""
+    obj = getattr(importlib.import_module(module), name, None)
+    return importlib.import_module(f"{module}.{name}") if obj is None else obj
+
+
+def package_calls(script: str) -> list[tuple[str, object, ast.Call]]:
+    """(source text, callee, call) for every call in bench/<script> to a name that it
+    imports from latentvqe, or to an attribute of one (`mlp.train`, `Param.ref`)."""
+    text = (BENCH / script).read_text()
+    tree = ast.parse(text)
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "latentvqe"
+                for alias in node.names}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            callee = package_object(*imported[func.id])
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in imported):
+            callee = getattr(package_object(*imported[func.value.id]), func.attr)
+        else:
+            continue
+        calls.append((ast.get_source_segment(text, node), callee, node))
+    return calls
+
+
+def test_micro_and_checks_call_shapes_bind():
+    calls = package_calls("micro.py") + package_calls("checks.py")
+    sources = [src for src, _, _ in calls]
+    for shape in ("staged_gate_optimize(latent, h_next, anchor, config, bounds=box)",
+                  "ParameterDataset(records, 12)", "mlp.TrainConfig(epochs=epochs)"):
+        assert shape in sources
+    assert any(src.startswith("QaeModel(encoder, ") for src in sources)
+    unbound = []
+    for src, callee, call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        try:
+            inspect.signature(callee).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{src}: {exc}")
+    assert unbound == []
+
+
+def test_batched_trash_cost_fn_returns_cost_and_gradient():
+    # bench/micro.py unpacks `_, grad = _batched_trash_cost_fn(encoder, states)`
+    from latentvqe.qae import ENCODER, _batched_trash_cost_fn, training_states_for
+
+    pair = _batched_trash_cost_fn(ENCODER, training_states_for((0.5, 1.0)))
+    assert isinstance(pair, tuple) and len(pair) == 2
+    assert all(callable(f) for f in pair)
 
 
 def test_names_shared_across_modules():

@@ -3,14 +3,46 @@ import json
 import numpy as np
 import pytest
 
-from latentvqe import mlp
+from latentvqe import hamiltonian, mlp
 from latentvqe.ansatz import qae_encoder
-from latentvqe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, main
+from latentvqe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, build_parser, main
 from latentvqe.qae import QaeModel, qae_to_dict
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_option_defaults():
+    # the CLI reads these from the library; the values themselves must not move
+    def parsed(*argv):
+        return build_parser().parse_args([*argv, "--out", "x"])
+
+    q = parsed("qae", "train")
+    assert (q.bond_lengths, q.target, q.restarts, q.max_iterations) == (
+        "0.4,0.7,1.0,1.5,2.0,2.5", 1e-8, 20, 1200)
+    v = parsed("vqe", "run", "--ansatz", "su2", "--ham", "ham.json")
+    assert (v.restarts, v.max_iterations) == (1, None)
+    d = parsed("dataset", "generate", "--qae", "qae.json")
+    assert (d.anchor, d.alpha, d.gamma, d.restarts) == (0.735, 0.5, 0.05, 10)
+    n = parsed("nn", "train", "--dataset", "ds.csv")
+    assert (n.epochs, n.train_fraction) == (60000, 0.7)
+
+
+@pytest.mark.parametrize("command", [
+    ["vqe", "run", "--ansatz", "uccsd", "--ham", "{dir}"],
+    ["vqe", "run", "--ansatz", "latent", "--ham", "{ham}", "--qae", "{dir}"],
+    ["dataset", "generate", "--qae", "{dir}"],
+    ["nn", "train", "--dataset", "{dir}"],
+    ["nn", "eval", "--model", "{dir}", "--qae", "{dir}", "--grid", "0.6:1.2:3"],
+    ["report", "{dir}"],
+], ids=["ham", "qae", "dataset_generate_qae", "dataset", "model", "report_input"])
+def test_directory_as_input_is_upstream_error(tmp_path, ham, command):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = [a.format(dir=inputs, ham=ham) for a in command]
+    assert run(*argv, "--out", tmp_path / "out") == EXIT_UPSTREAM
+    assert not (tmp_path / "out").exists()
 
 
 class TestHamBuild:
@@ -185,6 +217,19 @@ class TestVqeRun:
         (point,) = stops("uccsd")
         assert point["stop_reason"] == "tolerance" and 0 < point["iterations"] < 2000
 
+    def test_default_simplex_budget_is_2000(self, ham, tmp_path):
+        out = tmp_path / "su2.json"
+        assert run("vqe", "run", "--ansatz", "su2", "--ham", ham, "--out", out) == EXIT_OK
+        manifest = json.loads((tmp_path / "su2.json.manifest.json").read_text())
+        assert manifest["result"]["points"] == [
+            {"bond_length": 0.735, "iterations": 2000, "stop_reason": "budget"}]
+
+    def test_jacobi_budget_exhaustion_is_numerical_failure(self, ham, tmp_path, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "JACOBI_MAX_SWEEPS", 1)
+        code = run("vqe", "run", "--ansatz", "uccsd", "--ham", ham, "--out", tmp_path / "x.json")
+        assert code == EXIT_NUMERICAL
+        assert not (tmp_path / "x.json").exists()
+
     def test_manifest_hashes_every_grid_point_file(self, tmp_path):
         grid = tmp_path / "grid"
         run("ham", "build", "--grid", "0.6:0.8:2", "--out", grid)
@@ -236,18 +281,22 @@ def test_malformed_option_is_usage_error(tmp_path, capsys, command, option, valu
 
 
 class TestNnTrainCli:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_angle_is_numerical_failure(self, tmp_path):
-        lines = ["# latentvqe/1 parameter-dataset {\"anchor_index\": 0}",
-                 "bond_length,energy,oracle_energy,flag,theta_0,theta_1"]
-        for i, r in enumerate(np.linspace(0.5, 1.5, 22)):
-            theta_1 = "inf" if i == 7 else "0.5"
-            lines.append(f"{r:.17g},-1.0,-1.0,0,{0.1 * i:.17g},{theta_1}")
-        dataset = tmp_path / "ds.csv"
+    @pytest.mark.parametrize("column, value", [(5, "inf"), (4, "nan"), (0, "nan"), (1, "nan"),
+                                               (3, "7")],
+                             ids=["inf_angle", "nan_angle", "nan_bond_length", "nan_energy",
+                                  "flag_7"])
+    def test_malformed_cell_is_upstream_error(self, tmp_path, column, value):
+        # refused by the dataset loader; the trainer's own non-finite stop is
+        # tested in test_mlp.py
+        dataset = self.smooth_dataset(tmp_path)
+        lines = dataset.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[column] = value
+        lines[5] = ",".join(cells)
         dataset.write_text("\n".join(lines) + "\n")
-        code = run("nn", "train", "--dataset", dataset, "--epochs", 5,
-                   "--out", tmp_path / "nn.json")
-        assert code == EXIT_NUMERICAL
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
+        assert not (tmp_path / "nn.json").exists()
 
     @staticmethod
     def smooth_dataset(tmp_path):
@@ -348,11 +397,18 @@ class TestNnEvalCli:
         assert self.evaluate(tmp_path, doc, mlp_doc(12)) == EXIT_UPSTREAM
         assert not (tmp_path / "eval.csv").exists()
 
-    @pytest.mark.parametrize("malform", ["short_last_bias", "relu_activation"])
+    @pytest.mark.parametrize("malform", ["short_last_bias", "relu_activation", "nan_bias",
+                                         "inf_weight", "nan_input_min"])
     def test_malformed_model_is_upstream_error(self, qae_doc, tmp_path, malform):
         doc = mlp_doc(12)
         if malform == "short_last_bias":
             doc["biases"][-1] = [0.0]   # would broadcast over all 12 outputs
+        elif malform == "nan_bias":
+            doc["biases"][0][3] = float("nan")
+        elif malform == "inf_weight":
+            doc["weights"][1][2][5] = float("inf")
+        elif malform == "nan_input_min":   # passes the min < max check
+            doc["input_normalization"]["min"] = float("nan")
         else:
             doc["activation"] = "relu"
         assert self.evaluate(tmp_path, qae_doc, doc) == EXIT_UPSTREAM
@@ -393,6 +449,21 @@ class TestReport:
         with pytest.raises(SystemExit) as err:
             run("report", "--out", tmp_path / "t.csv")
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("malform", ["no_method", "point_without_energy", "mae_not_a_number"])
+    def test_malformed_result_is_upstream_error(self, tmp_path, malform):
+        p = tmp_path / "r.json"
+        self._result(p, "uccsd", 1e-3, points=[{"bond_length": 0.7, "energy": -1.1}])
+        doc = json.loads(p.read_text())
+        if malform == "no_method":
+            del doc["method"]
+        elif malform == "point_without_energy":
+            del doc["points"][0]["energy"]
+        else:
+            doc["mae"] = "small"
+        p.write_text(json.dumps(doc))
+        assert run("report", p, "--out", tmp_path / "t.csv") == EXIT_UPSTREAM
+        assert not (tmp_path / "t.csv").exists()
 
     def test_schema_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentvqe import hamiltonian
 from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
     _STO3G_COEFFS, _STO3G_EXPONENTS, ANGSTROM_TO_BOHR, COEFF_PRUNE_TOL, JacobiConvergenceError,
@@ -366,6 +367,13 @@ class TestJacobi:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_sweep_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "JACOBI_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        with pytest.raises(JacobiConvergenceError, match="in 1 sweeps"):
+            jacobi_eigh(m + m.conj().T)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_before_sweeping(self, bad, recwarn):

@@ -233,8 +233,7 @@ class TestAdam:
         cost = lambda x: float((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2)
         grad = lambda x: np.array([2 * (x[0] - 1.0), 2 * (x[1] + 0.5)])
         res = adam_minimize(cost, grad, np.zeros(2),
-                            OptimizerConfig(max_iterations=2000, tolerance=1e-12,
-                                            learning_rate=0.05))
+                            OptimizerConfig(max_iterations=2000, tolerance=1e-12))
         assert res["value"] < 1e-10
 
     def test_best_so_far_trace_monotone(self):
@@ -245,7 +244,7 @@ class TestAdam:
             seen.append(v)
             return v
         adam_minimize(tracking_cost, lambda x: np.array([2 * (x[0] - 1.0)]), np.zeros(1),
-                      OptimizerConfig(max_iterations=200, tolerance=1e-14, learning_rate=0.3))
+                      OptimizerConfig(max_iterations=200, tolerance=1e-14))
         best = np.minimum.accumulate(seen)
         assert np.all(np.diff(best) <= 0)
 
@@ -433,11 +432,12 @@ class TestConstrainedSweep:
             res = staged_gate_optimize(circuit, hams[anchor_idx], rng.uniform(0, 2 * np.pi, 12))
             if best is None or res["energy"] < best["energy"]:
                 best = res
-        ds = constrained_sweep(
-            circuit, hams, anchor_idx, best["params"], StepConstraint(0.5, 0.05),
-            pqc_spec=LATENT_PQC_SPEC,
-        )
+        ds = constrained_sweep(circuit, hams, anchor_idx, best["params"],
+                               StepConstraint(0.5, 0.05))
         return ds, hams, anchor_idx
+
+    def test_tagged_with_the_latent_pqc(self, sweep):
+        assert sweep[0].pqc_spec == LATENT_PQC_SPEC
 
     def test_bound_admissibility_and_smoothness(self, sweep):
         ds, hams, anchor_idx = sweep

@@ -61,7 +61,7 @@ class TestTrashCost:
         cost, grad = _batched_trash_cost_fn(enc, [random_4q_state(rng)])
         res = adam_minimize(
             cost, grad, rng.uniform(0, 2 * np.pi, enc.n_params),
-            OptimizerConfig(max_iterations=800, tolerance=1e-16, learning_rate=0.1),
+            OptimizerConfig(max_iterations=800, tolerance=1e-16),
             stop_below=1e-13,
         )
         assert res["value"] < 1e-12
@@ -99,9 +99,7 @@ class TestTraining:
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(QaeTrainingError):
-            train_qae(config=OptimizerConfig(
-                max_iterations=1, tolerance=1e-16, restarts=1, learning_rate=1e-6,
-            ))
+            train_qae(config=OptimizerConfig(max_iterations=1, tolerance=1e-16, restarts=1))
 
 
 class TestDecoder:
