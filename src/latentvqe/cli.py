@@ -1,12 +1,12 @@
 """Command-line pipeline orchestration with persistent artifacts.
 
 Verbs: ham build, vqe run, qae train, dataset generate, nn train, nn eval,
-report. Every command writes its artifact plus a <out>.manifest.json run
-manifest: each cmd_* function writes its artifacts and returns (manifest path,
-config, inputs, outputs, result), and `main` writes the manifest. Option
-defaults that the library also uses are read from it. All randomness flows from --seed through named streams, so a rerun
-with the same inputs and seed reproduces every artifact byte for byte
-(manifests record wall time and are the one exception).
+report. Each cmd_* function writes its artifacts and returns (manifest path,
+config, inputs, outputs, result); `main` writes these as <out>.manifest.json.
+Option defaults that the library also uses are read from it. All randomness
+flows from --seed through named streams, so a rerun with the same inputs and
+seed reproduces every artifact byte for byte (manifests record wall time and
+are the one exception).
 
 Exit codes: 0 success, 2 usage error, 3 missing/invalid upstream artifact,
 4 numerical failure.
@@ -83,7 +83,7 @@ def _read_json(path: Path, what: str) -> dict:
 
 
 def _write_manifest(out: Path, command: str, config: dict, inputs, outputs, seed, t0: float,
-                    result: dict | None = None):
+                    result: dict | None):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,

@@ -17,12 +17,16 @@ from latentvqe import circuit, cli, optimize
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def package_object(module: str, name: str):
+    """What `from module import name` binds; ImportError if it would fail."""
+    obj = getattr(importlib.import_module(module), name, None)
+    return importlib.import_module(f"{module}.{name}") if obj is None else obj
+
+
 def resolves(module: str, name: str) -> bool:
     """Whether `from module import name` would succeed."""
-    if hasattr(importlib.import_module(module), name):
-        return True
     try:
-        importlib.import_module(f"{module}.{name}")
+        package_object(module, name)
     except ImportError:
         return False
     return True
@@ -52,12 +56,6 @@ def test_micro_and_checks_imports_resolve():
     assert ("latentvqe.qae", "latent_vqe_circuit") in names
     assert ("latentvqe.optimize", "dataset_from_csv") in names
     assert [(m, n) for m, n in names if not resolves(m, n)] == []
-
-
-def package_object(module: str, name: str):
-    """What `from module import name` binds."""
-    obj = getattr(importlib.import_module(module), name, None)
-    return importlib.import_module(f"{module}.{name}") if obj is None else obj
 
 
 def package_calls(script: str) -> list[tuple[str, object, ast.Call]]:
