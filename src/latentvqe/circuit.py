@@ -183,6 +183,7 @@ def simulate(circuit: Circuit, params, initial: StateVector) -> StateVector:
 
 _DIAGONAL = ("RZ", "U1")
 _U3_PHASES = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])  # rows phi, lambda
+_ONE, _ZERO = np.ones(1), np.zeros(1)  # a rotation table's padding entry and its derivative
 
 
 class ConstantStep:
@@ -193,37 +194,39 @@ class ConstantStep:
     x * 1 or x * 0, and adding zeros changes nothing.
     """
 
-    def __init__(self, gates, n: int):
-        self.gates = tuple(gates)
+    kind = "constant"
+
+    def __init__(self, gates, n: int, layer: int):
+        self.gates, self.layer = tuple(gates), layer
         self.matrix = apply_gates(np.eye(1 << n, dtype=complex), gates, np.zeros(0), n)
 
-    def apply(self, amp: np.ndarray, angles=None, tables=None) -> np.ndarray:
+    def apply(self, amp: np.ndarray) -> np.ndarray:
         return self.matrix @ amp
 
     def apply_transpose(self, amp: np.ndarray) -> np.ndarray:
         return self.matrix.T @ amp
 
-    def backward(self, lam: np.ndarray, pre, angles, dangles, tables) -> np.ndarray:
+    def backward(self, lam: np.ndarray, pre, op, angles, dangles, tables) -> np.ndarray:
         """M^dag lam; the step has no free angle to differentiate."""
-        return self.matrix.conj().T @ lam
+        return op.conj().T @ lam
 
 
 class LayerStep:
-    """Free gates of one kind on distinct qubits, applied together.
+    """Free gates of one kind on distinct qubits: one operator of the plan's per-call build.
 
-    Free RZ and U1 gates form one phase vector exp(i W a). Free RY gates, or
-    free U3 gates, form one Kronecker product, whose entry (i, j) is the
-    product over the layer's gates of their 2x2 entry (bit_q(i), bit_q(j)),
-    and zero where i and j differ on a qubit outside the layer.
-    `angles[lo:hi]` holds the layer's angles: (theta, phi, lambda) per U3
-    gate, one per other gate. A rotation layer reads its gates' 2x2 entries
-    from rows `rows` of its kind's table (`Plan.tables`).
+    Free RZ and U1 gates form one phase vector exp(i W a), W = `weights`. Free
+    RY gates, or free U3 gates, form one Kronecker product, whose entry (i, j)
+    is the product over the layer's gates of their 2x2 entry (bit_q(i),
+    bit_q(j)), and zero where i and j differ on a qubit outside the layer
+    (`mask`). `angles[lo:hi]` holds the layer's angles: (theta, phi, lambda)
+    per U3 gate, one per other gate. The plan builds the operator (`layer` is
+    its row in its kind's stack); the step differentiates it. Its g-th gate's
+    entry k sits at `entry_index[g, k]` of its kind's table (`Plan.tables`).
     """
 
-    def __init__(self, kind: str, gates, lo: int, row: int, n: int):
-        self.kind, self.gates = kind, tuple(gates)
+    def __init__(self, kind: str, gates, lo: int, layer: int, row: int, n_rows: int, n: int):
+        self.kind, self.gates, self.layer = kind, tuple(gates), layer
         self.lo, self.hi = lo, lo + sum(len(g.params) for g in self.gates)
-        self.rows = slice(row, row + len(self.gates))
         qubits = [g.targets[0] for g in self.gates]
         idx = np.arange(1 << n)
         bits = (idx[None, :] >> np.array(qubits)[:, None]) & 1
@@ -234,24 +237,14 @@ class LayerStep:
             return
         gate = np.arange(len(qubits))[:, None, None]
         self.index = 4 * gate + 2 * bits[:, :, None] + bits[:, None, :]
+        self.entry_index = row + np.arange(len(qubits))[:, None] + n_rows * np.arange(4)
         others = sum(1 << q for q in range(n) if q not in qubits)
         self.mask = ((idx[:, None] ^ idx[None, :]) & others) == 0 if others else None
-
-    def _factors(self, entries: np.ndarray) -> np.ndarray:
-        """Gate g's 2x2 entry (bit_q(i), bit_q(j)) at [g, i, j]."""
-        return entries.reshape(-1)[self.index]
 
     def _masked(self, kron: np.ndarray) -> np.ndarray:
         return kron if self.mask is None else kron * self.mask
 
-    def apply(self, amp: np.ndarray, angles: np.ndarray, tables) -> np.ndarray:
-        if self.kind == "phase":
-            phase = np.exp(1j * (self.weights @ angles[self.lo:self.hi]))
-            return (phase[:, None] if amp.ndim > 1 else phase) * amp
-        entries = tables[self.kind][0][self.rows]
-        return self._masked(self._factors(entries).prod(axis=0)) @ amp
-
-    def backward(self, lam: np.ndarray, pre: np.ndarray, angles, dangles, tables) -> np.ndarray:
+    def backward(self, lam: np.ndarray, pre: np.ndarray, op, angles, dangles, tables) -> np.ndarray:
         """One adjoint step on (2^n, batch) stacks: return U^dag lam.
 
         `pre` is the state before the layer and `lam` the adjoint state after
@@ -262,17 +255,16 @@ class LayerStep:
         Re <env, dU/da> at once.
         """
         if self.kind == "phase":
-            phase = np.exp(1j * (self.weights @ angles[self.lo:self.hi]))
             # d phase / d a_k = i W[:, k] phase, and Re(i z) = -Im z
-            overlap = phase * np.einsum("ib,ib->i", lam.conj(), pre)
+            overlap = op * np.einsum("ib,ib->i", lam.conj(), pre)
             dangles[self.lo:self.hi] = -(self.weights.T @ overlap).imag
-            return phase.conj()[:, None] * lam
+            return op.conj()[:, None] * lam
         # conj before the cumprods: after a complex BLAS product (the previous step's
         # return) numpy's scalar cumprod loop ran 10x slower until an elementwise
         # vector loop such as conj ran (numpy 2.4, OpenBLAS 0.3.31, AVX-512 Xeon)
         lam_conj = lam.conj()
-        entries, dtheta = (table[self.rows] for table in tables[self.kind])
-        factors = self._factors(entries)
+        entries, dtheta = (table[self.entry_index] for table in tables[self.kind])
+        factors = entries.reshape(-1)[self.index]
         ones = np.ones_like(factors[:1])
         before = np.concatenate([ones, np.cumprod(factors[:-1], axis=0)])
         after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], ones])
@@ -285,6 +277,8 @@ class LayerStep:
             # d/dphi and d/dlambda multiply the entries by i where _U3_PHASES has a 1
             grads = np.hstack([grads, -((env * entries) @ _U3_PHASES.T).imag])
         dangles[self.lo:self.hi] = grads.ravel()
+        # not `op`: the scalar cumprod loop and the vector multiply of the forward
+        # product round differently, and the adjoint keeps its own product's bytes
         kron = self._masked(before[-1] * factors[-1])
         return kron.conj().T @ lam
 
@@ -294,9 +288,11 @@ class Plan:
 
     Each maximal run of gates without a free angle is one ConstantStep; each
     run of free gates of one kind (RZ and U1, RY, or U3) on distinct qubits is
-    one LayerStep. `angles` evaluates every free angle, coeff * params[slot] +
-    offset, at once, and `tables` the 2x2 entries of every RY and U3 gate, once
-    per `apply` or `gradient` call.
+    one LayerStep. Each `apply` or `gradient` call builds every step's
+    operator in one pass (`angles`, `tables`, `operators`) and then walks the
+    steps with one numpy operation each. The gather indices of all layers of
+    a rotation kind are stacked into one (layers, width, 2^n, 2^n) index; a
+    narrower layer pads with the position of the table's trailing 1.0.
     """
 
     def __init__(self, circuit: Circuit):
@@ -312,18 +308,35 @@ class Plan:
                 groups[-1][1].append(g)
             else:
                 groups.append((cls, [g]))
-        steps, table, rotations = [], [], {}
+        sizes = {cls: sum(len(gs) for c, gs in groups if c == cls) for cls, _ in groups}
+        steps, table, layers = [], [], {cls: [] for cls in sizes}
         for cls, gates in groups:
+            same = layers[cls]
             if cls == "constant":
-                steps.append(ConstantStep(gates, n))
-                continue
-            rows = rotations.setdefault(cls, [])  # each gate's angle positions, per kind
-            steps.append(LayerStep(cls, gates, len(table), len(rows), n))
-            for g in gates:
-                rows.append(range(len(table), len(table) + len(g.params)))
-                table.extend(g.params)
+                same.append(ConstantStep(gates, n, len(same)))
+            else:
+                row = sum(len(s.gates) for s in same)
+                same.append(LayerStep(cls, gates, len(table), len(same), row, sizes[cls], n))
+                table.extend(p for g in gates for p in g.params)
+            steps.append(same[-1])
         self.steps, self.n_params = tuple(steps), circuit.n_params
-        self._rotations = {k: np.array(v) for k, v in rotations.items() if k != "phase"}
+        self._constants = np.array([s.matrix for s in layers.pop("constant", [])])
+        self._phases = layers.pop("phase", [])
+        self._rotations = {}
+        for kind, same in layers.items():
+            size, width = sizes[kind], max(len(s.gates) for s in same)
+            index = np.full((len(same), width, 1 << n, 1 << n), 4 * size)  # the trailing 1.0
+            for s in same:
+                index[s.layer, :len(s.gates)] = s.entry_index.reshape(-1)[s.index]
+            mask = np.array([np.ones((1 << n,) * 2, bool) if s.mask is None else s.mask
+                             for s in same]) if any(s.mask is not None for s in same) else None
+            theta = np.array([s.lo + len(g.params) * k for s in same for k, g in enumerate(s.gates)])
+            phase_weights = None
+            if kind == "U3":  # the phase of entry k of gate g is exp(i angles @ column k G + g)
+                phase_weights = np.zeros((len(table), 4 * size + 1))
+                for g, t in enumerate(theta):
+                    phase_weights[t + 1:t + 3, g:4 * size:size] = _U3_PHASES
+            self._rotations[kind] = (theta, phase_weights, index, mask)
         # every free gate's angle positions in step order; a constant one reads 0 * params[0]
         self._slots = np.array([p.slot or 0 for p in table], dtype=int)
         self._coeffs = np.array([p.coeff if p.slot is not None else 0.0 for p in table])
@@ -341,27 +354,46 @@ class Plan:
         return angles
 
     def tables(self, angles: np.ndarray, derivative: bool = False) -> dict:
-        """Per rotation kind (RY, U3), (entries, their theta derivatives or None): row g
-        holds the kind's g-th gate's 2x2 entries 00, 01, 10, 11, phases * (c, -s, s, c)
-        with c, s = cos, sin(theta/2) and phases 1 for RY, (1, e^{i lam}, e^{i phi},
-        e^{i(phi + lam)}) for U3. Empty for a plan without RY or U3 gates."""
+        """Per rotation kind (RY, U3), (entries, their theta derivatives or None) as flat
+        arrays of 4 G + 1 values for the kind's G gates: entry k (00, 01, 10, 11) of
+        gate g at k G + g, phases * (c, -s, s, c) with c, s = cos, sin(theta/2) and
+        phases 1 for RY, (1, e^{i lam}, e^{i phi}, e^{i(phi + lam)}) for U3, then a
+        1.0 (its derivative 0.0) that narrower layers pad with. Empty for a plan
+        without RY or U3 gates."""
         tables = {}
-        for kind, pos in self._rotations.items():
-            a, phases = angles[pos[:, 0]], 1.0
-            if kind == "U3":
-                phases = np.exp(1j * (angles[pos[:, 1:]] @ _U3_PHASES))
-            c, s = np.cos(0.5 * a), np.sin(0.5 * a)
-            tables[kind] = (np.stack([c, -s, s, c], axis=1) * phases,
-                            0.5 * np.stack([-s, -c, c, -s], axis=1) * phases
-                            if derivative else None)
+        for kind, (theta, phase_weights, _, _) in self._rotations.items():
+            half = 0.5 * angles[theta]
+            c, s = np.cos(half), np.sin(half)
+            entries = np.concatenate([c, -s, s, c, _ONE])
+            dtheta = 0.5 * np.concatenate([-s, -c, c, -s, _ZERO]) if derivative else None
+            if phase_weights is not None:
+                phases = np.exp(1j * (angles @ phase_weights))
+                entries, dtheta = entries * phases, None if dtheta is None else dtheta * phases
+            tables[kind] = (entries, dtheta)
         return tables
+
+    def operators(self, angles: np.ndarray, tables: dict) -> list:
+        """One operator per step: a 2^n x 2^n matrix for a constant or rotation step,
+        a 2^n phase vector for a phase step. Per rotation kind one gather and one
+        product build the Kronecker products of all its layers; all phase layers
+        share one exp."""
+        stacks = {"constant": self._constants}
+        for kind, (entries, _) in tables.items():
+            _, _, index, mask = self._rotations[kind]
+            kron = entries[index].prod(axis=1)
+            stacks[kind] = kron if mask is None else kron * mask
+        if self._phases:
+            exponents = np.empty((len(self._phases), len(self._phases[0].weights)))
+            for out, step in zip(exponents, self._phases):
+                np.matmul(step.weights, angles[step.lo:step.hi], out=out)
+            stacks["phase"] = np.exp(1j * exponents)
+        return [stacks[step.kind][step.layer] for step in self.steps]
 
     def apply(self, amp: np.ndarray, params) -> np.ndarray:
         """Run every step on a vector or (2^n, batch) stack."""
         angles = self.angles(params)
-        tables = self.tables(angles)
-        for step in self.steps:
-            amp = step.apply(amp, angles, tables)
+        for op in self.operators(angles, self.tables(angles)):
+            amp = _step(op, amp)
         return amp
 
     def gradient(self, amp: np.ndarray, params, observable: np.ndarray) -> np.ndarray:
@@ -371,23 +403,28 @@ class Plan:
         step; the backward pass starts from lam = O psi and maps it back
         through each step (lam <- U^dag lam), which adds
         2 Re lam^dag (dU/da) pre for every angle a of the step. Both passes
-        read one set of `tables`, which also holds the theta derivatives. Each
-        angle then reaches its slot with its coefficient (chain rule), so
+        read one operator build; its tables also hold the theta derivatives.
+        Each angle then reaches its slot with its coefficient (chain rule), so
         shared slots, coefficients and offsets need no special case.
         """
         angles = self.angles(params)
         tables = self.tables(angles, derivative=True)
+        ops = self.operators(angles, tables)
         states = [amp]
-        for step in self.steps:
-            states.append(step.apply(states[-1], angles, tables))
+        for op in ops:
+            states.append(_step(op, states[-1]))
         lam = observable @ states.pop()
         dangles = np.zeros_like(angles)
-        for step, pre in zip(reversed(self.steps), reversed(states)):
-            lam = step.backward(lam, pre, angles, dangles, tables)
+        for step, op, pre in zip(reversed(self.steps), reversed(ops), reversed(states)):
+            lam = step.backward(lam, pre, op, angles, dangles, tables)
         grad = np.zeros(self.n_params)
         np.add.at(grad, self._slots, 2.0 * self._coeffs * dangles)
         return grad
 
+
+def _step(op: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """One step of a plan: a matrix product, or a phase vector times each column."""
+    return op @ amp if op.ndim == 2 else (op[:, None] if amp.ndim > 1 else op) * amp
 
 @lru_cache(maxsize=128)
 def compile_plan(circuit: Circuit) -> Plan:

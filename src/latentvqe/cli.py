@@ -358,6 +358,10 @@ def _result_row(text: str) -> dict:
 
 def cmd_report(args):
     rows = [_read_artifact(Path(p), _result_row, "result file") for p in args.results]
+    methods = [r["method"] for r in rows]
+    for method in methods:
+        if methods.count(method) > 1:  # each method's points go to one <out>_<method>.dat
+            raise ValueError(f"more than one result file has method {method!r}")
     out = Path(args.out)
     csv_lines = ["method,mae,n_gates,n_params"]
     for r in rows:

@@ -465,6 +465,15 @@ class TestReport:
         assert run("report", p, "--out", tmp_path / "t.csv") == EXIT_UPSTREAM
         assert not (tmp_path / "t.csv").exists()
 
+    def test_duplicate_method_is_usage_error(self, tmp_path, capsys):
+        # both would write table.csv_uccsd.dat, the second over the first
+        files = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
+        for p, method, energy in zip(files, ("uccsd", "su2", "uccsd"), (-1.1, -1.0, -0.9)):
+            self._result(p, method, 1e-3, points=[{"bond_length": 0.7, "energy": energy}])
+        assert run("report", *files, "--out", tmp_path / "table.csv") == EXIT_USAGE
+        assert "'uccsd'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "c.json"]
+
     def test_schema_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema_version": "other/2", "kind": "vqe-result"}))

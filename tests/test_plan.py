@@ -34,6 +34,7 @@ CIRCUITS = {
     "latent": latent_circuit,
     "qae_encoder": lambda: qae_encoder(4, 2),
     "swap_test": lambda: swap_test_circuit(2),
+    "mixed_width": lambda: mixed_width_circuit(),
 }
 
 
@@ -62,6 +63,11 @@ def test_plan_shapes():
     # latent: U3 layer, CNOT, U3 layer, then CNOT plus the frozen decoder as one matrix
     steps = compile_plan(latent_circuit()).steps
     assert [type(s) for s in steps] == [LayerStep, ConstantStep, LayerStep, ConstantStep]
+    # RY and U3 layers of unequal widths, masked where they leave a qubit out
+    steps = compile_plan(mixed_width_circuit()).steps
+    assert [(s.kind, len(s.gates), s.mask is not None) for s in steps
+            if s.kind in ("RY", "U3")] == [("RY", 3, False), ("RY", 1, True), ("U3", 2, True),
+                                           ("U3", 3, False), ("RY", 1, True)]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -170,6 +176,19 @@ def test_offsets_and_coefficients_enter_every_layer_kind():
                                rtol=0, atol=1e-7)
 
 
+def mixed_width_circuit():
+    """RY and U3 layers of different widths, some masked, so the stacked index pads."""
+    ry = lambda q, slot: Gate("RY", (q,), (Param.ref(slot),))
+    u3 = lambda q, a, b, c: Gate("U3", (q,), (Param.ref(a), Param.ref(b), Param(c, -1.0, 0.4)))
+    gates = (
+        ry(0, 0), ry(1, 1), ry(2, 2), Gate("CNOT", (0, 1)), ry(1, 3),
+        u3(0, 4, 5, 6), u3(2, 7, 8, 9), Gate("RZ", (1,), (Param.ref(10),)),
+        Gate("CNOT", (2, 0)), u3(1, 1, 10, 3), u3(0, 2, 4, 8), u3(2, 5, 0, 6),
+        Gate("H", (2,)), ry(0, 9),
+    )
+    return Circuit(3, gates, 11)
+
+
 def reference_entries(step, angles):
     """A rotation layer's 2x2 entries and their theta derivatives, built from its own angles."""
     a, phases = angles[step.lo:step.hi], 1.0
@@ -186,15 +205,25 @@ def is_rotation(step):
     return isinstance(step, LayerStep) and step.kind != "phase"
 
 
+def reference_operator(step, angles):
+    """A step's operator built from its own gates: a matrix, or a phase vector."""
+    if isinstance(step, ConstantStep):
+        return step.matrix
+    if step.kind == "phase":
+        return np.exp(1j * (step.weights @ angles[step.lo:step.hi]))
+    entries, _ = reference_entries(step, angles)
+    return step._masked(entries.reshape(-1)[step.index].prod(axis=0))
+
+
 def reference_step(step, amp, angles):
-    if is_rotation(step):
-        entries, _ = reference_entries(step, angles)
-        return step._masked(step._factors(entries).prod(axis=0)) @ amp
-    return step.apply(amp, angles, None)
+    op = reference_operator(step, angles)
+    if op.ndim == 2:
+        return op @ amp
+    return (op[:, None] if amp.ndim > 1 else op) * amp
 
 
 def reference_apply(plan, amp, params):
-    """`Plan.apply` with every rotation layer building its own entries."""
+    """`Plan.apply` with every step building its own operator."""
     angles = plan.angles(params)
     for step in plan.steps:
         amp = reference_step(step, amp, angles)
@@ -203,7 +232,7 @@ def reference_apply(plan, amp, params):
 
 def reference_backward(step, lam, pre, angles, dangles):
     entries, dtheta = reference_entries(step, angles)
-    factors = step._factors(entries)
+    factors = entries.reshape(-1)[step.index]
     ones = np.ones_like(factors[:1])
     before = np.concatenate([ones, np.cumprod(factors[:-1], axis=0)])
     after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], ones])
@@ -219,7 +248,7 @@ def reference_backward(step, lam, pre, angles, dangles):
 
 
 def reference_gradient(plan, amp, params, observable):
-    """`Plan.gradient` with every rotation layer building its own entries."""
+    """`Plan.gradient` with every step building its own operator."""
     angles = plan.angles(params)
     states = [amp]
     for step in plan.steps:
@@ -230,23 +259,30 @@ def reference_gradient(plan, amp, params, observable):
         if is_rotation(step):
             lam = reference_backward(step, lam, pre, angles, dangles)
         else:
-            lam = step.backward(lam, pre, angles, dangles, None)
+            op = reference_operator(step, angles)
+            lam = step.backward(lam, pre, op, angles, dangles, None)
     grad = np.zeros(plan.n_params)
     np.add.at(grad, plan._slots, 2.0 * plan._coeffs * dangles)
     return grad
 
 
-@pytest.mark.parametrize("name", ["su2", "qae_encoder", "latent", "partial_u3"])
+BITWISE_CIRCUITS = dict(CIRCUITS, partial_u3=partial_u3_circuit, mixed_width=mixed_width_circuit)
+
+
+@pytest.mark.parametrize("name", ["uccsd", "su2", "qae_encoder", "latent", "partial_u3",
+                                  "mixed_width"])
 def test_tables_are_bitwise_equal_to_per_layer_entries(name):
-    # one table per call reads the same cos/sin/phase values as each layer building its own
-    circuit = partial_u3_circuit() if name == "partial_u3" else CIRCUITS[name]()
+    # one operator build per call reads the same cos/sin/phase values and products
+    # as each layer building its own
+    circuit = BITWISE_CIRCUITS[name]()
     plan, n = compile_plan(circuit), circuit.n_qubits
     rng = np.random.default_rng(17)
     hmat = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     hmat = hmat + hmat.conj().T
     for _ in range(5):
         params = rng.uniform(-2 * np.pi, 2 * np.pi, circuit.n_params)
-        for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 3)):
+        for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 1),
+                    random_amplitudes(rng, n, 3)):
             assert (plan.apply(amp, params).tobytes()
                     == reference_apply(plan, amp, params).tobytes())
         cols = random_amplitudes(rng, n, 3)
