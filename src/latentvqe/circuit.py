@@ -196,8 +196,8 @@ class ConstantStep:
 
     kind = "constant"
 
-    def __init__(self, gates, n: int, layer: int):
-        self.gates, self.layer = tuple(gates), layer
+    def __init__(self, gates, n: int):
+        self.gates = tuple(gates)
         self.matrix = apply_gates(np.eye(1 << n, dtype=complex), gates, np.zeros(0), n)
 
     def apply(self, amp: np.ndarray) -> np.ndarray:
@@ -309,18 +309,17 @@ class Plan:
             else:
                 groups.append((cls, [g]))
         sizes = {cls: sum(len(gs) for c, gs in groups if c == cls) for cls, _ in groups}
-        steps, table, layers = [], [], {cls: [] for cls in sizes}
+        steps, table, layers = [], [], {}
         for cls, gates in groups:
-            same = layers[cls]
             if cls == "constant":
-                same.append(ConstantStep(gates, n, len(same)))
-            else:
-                row = sum(len(s.gates) for s in same)
-                same.append(LayerStep(cls, gates, len(table), len(same), row, sizes[cls], n))
-                table.extend(p for g in gates for p in g.params)
+                steps.append(ConstantStep(gates, n))
+                continue
+            same = layers.setdefault(cls, [])
+            row = sum(len(s.gates) for s in same)
+            same.append(LayerStep(cls, gates, len(table), len(same), row, sizes[cls], n))
+            table.extend(p for g in gates for p in g.params)
             steps.append(same[-1])
         self.steps, self.n_params = tuple(steps), circuit.n_params
-        self._constants = np.array([s.matrix for s in layers.pop("constant", [])])
         self._phases = layers.pop("phase", [])
         self._rotations = {}
         for kind, same in layers.items():
@@ -377,7 +376,7 @@ class Plan:
         a 2^n phase vector for a phase step. Per rotation kind one gather and one
         product build the Kronecker products of all its layers; all phase layers
         share one exp."""
-        stacks = {"constant": self._constants}
+        stacks = {}
         for kind, (entries, _) in tables.items():
             _, _, index, mask = self._rotations[kind]
             kron = entries[index].prod(axis=1)
@@ -387,7 +386,8 @@ class Plan:
             for out, step in zip(exponents, self._phases):
                 np.matmul(step.weights, angles[step.lo:step.hi], out=out)
             stacks["phase"] = np.exp(1j * exponents)
-        return [stacks[step.kind][step.layer] for step in self.steps]
+        return [step.matrix if step.kind == "constant" else stacks[step.kind][step.layer]
+                for step in self.steps]
 
     def apply(self, amp: np.ndarray, params) -> np.ndarray:
         """Run every step on a vector or (2^n, batch) stack."""
