@@ -57,8 +57,11 @@ def _subseed(seed: int, stream: str) -> int:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, doc: dict) -> None:

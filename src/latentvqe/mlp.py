@@ -234,7 +234,6 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
         **run,
         "final_train_loss": final_train,
         "test_loss": test_loss,
-        "train_indices": train_idx,
         "test_indices": test_idx,
     }
 

@@ -174,7 +174,7 @@ def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
     for k in reversed(range(len(ops))):
         op = ops[k]
         if isinstance(op, ConstantStep):
-            st = op.apply_transpose(st)
+            st = op.matrix.T @ st
             continue
         s = st.T
         conjugated[k] = s.conj().T @ hmat @ s
@@ -182,7 +182,7 @@ def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
     pre, done = amp0, 0
     for k in free:
         for op in ops[done:k]:
-            pre = (op.apply(pre) if isinstance(op, ConstantStep)
+            pre = (op.matrix @ pre if isinstance(op, ConstantStep)
                    else _apply_1q(pre, gate_matrix(op, params), op.targets[0], n))
         done = k
         yield ops[k], pre, conjugated.pop(k)
@@ -463,9 +463,6 @@ class ParameterDataset:
     @property
     def n_params(self) -> int:
         return self.records[0].angles.size if self.records else 0
-
-    def bond_lengths(self) -> np.ndarray:
-        return np.array([r.bond_length for r in self.records])
 
     def angle_matrix(self) -> np.ndarray:
         return np.stack([r.angles for r in self.records])

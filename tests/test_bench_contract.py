@@ -1,10 +1,10 @@
 """The package names and call shapes that the benchmark harness in bench/ relies on.
 
 bench/ reaches into the package by name: `bench/tracing.py` wraps the
-functions in its TARGETS list, and the other scripts import what they time
-or check. A rename or a signature change in the package would otherwise only
-show when the benchmark runs. bench/tracing.py is loaded by path; the other
-scripts are only parsed, not run.
+functions in its TARGETS list, and every script imports what it times,
+checks or runs. A rename or a signature change in the package would
+otherwise only show when the benchmark runs. bench/tracing.py is loaded by
+path; the scripts are only parsed, not run.
 """
 import ast
 import importlib
@@ -23,22 +23,27 @@ def package_object(module: str, name: str):
     return importlib.import_module(f"{module}.{name}") if obj is None else obj
 
 
-def resolves(module: str, name: str) -> bool:
-    """Whether `from module import name` would succeed."""
+def resolves(module: str, name: str | None) -> bool:
+    """Whether `from module import name` (`import module` if name is None) would succeed."""
     try:
-        package_object(module, name)
+        importlib.import_module(module) if name is None else package_object(module, name)
     except ImportError:
         return False
     return True
 
 
-def package_imports(script: str) -> list[tuple[str, str]]:
-    """(module, name) for every `from latentvqe[.x] import name` in bench/<script>."""
+def package_imports(script: str) -> list[tuple[str, str | None]]:
+    """(module, name) for every `from latentvqe[.x] import name` in bench/<script>, and
+    (module, None) for every `import latentvqe[.x]`."""
     tree = ast.parse((BENCH / script).read_text())
-    return [(node.module, alias.name) for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module
-            and node.module.split(".")[0] == "latentvqe"
-            for alias in node.names]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "latentvqe":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "latentvqe"]
+    return found
 
 
 def test_tracing_targets_resolve():
@@ -51,11 +56,18 @@ def test_tracing_targets_resolve():
     assert missing == []
 
 
-def test_micro_and_checks_imports_resolve():
-    names = package_imports("micro.py") + package_imports("checks.py")
-    assert ("latentvqe.qae", "latent_vqe_circuit") in names
-    assert ("latentvqe.optimize", "dataset_from_csv") in names
-    assert [(m, n) for m, n in names if not resolves(m, n)] == []
+def test_bench_imports_resolve():
+    names = {path.name: set(package_imports(path.name)) for path in BENCH.glob("*.py")}
+    assert {("latentvqe.qae", "latent_vqe_circuit"),
+            ("latentvqe.optimize", "dataset_from_csv")} <= names["micro.py"] | names["checks.py"]
+    circuit_names = {"Circuit", "Gate", "Param", "apply_circuit"}
+    assert {("latentvqe.circuit", n) for n in circuit_names} <= names["tracing.py"]
+    assert {("latentvqe", "circuit"), ("latentvqe", "cli"), ("latentvqe", "optimize"),
+            ("latentvqe.hamiltonian", "exact_ground_energy"),
+            ("latentvqe.hamiltonian", "hamiltonian_for_distance")} <= names["selfcheck.py"]
+    assert {("latentvqe.cli", None), ("latentvqe.cli", "main")} <= names["run.py"]
+    assert sorted((script, m, n) for script, found in names.items() for m, n in found
+                  if not resolves(m, n)) == []
 
 
 def package_calls(script: str) -> list[tuple[str, object, ast.Call]]:
@@ -84,11 +96,13 @@ def package_calls(script: str) -> list[tuple[str, object, ast.Call]]:
     return calls
 
 
-def test_micro_and_checks_call_shapes_bind():
-    calls = package_calls("micro.py") + package_calls("checks.py")
+def test_bench_call_shapes_bind():
+    calls = [call for path in sorted(BENCH.glob("*.py")) for call in package_calls(path.name)]
     sources = [src for src, _, _ in calls]
     for shape in ("staged_gate_optimize(latent, h_next, anchor, config, bounds=box)",
-                  "ParameterDataset(records, 12)", "mlp.TrainConfig(epochs=epochs)"):
+                  "ParameterDataset(records, 12)", "mlp.TrainConfig(epochs=epochs)",
+                  "Param.ref(0)", "exact_ground_energy(hamiltonian_for_distance(r))",
+                  "main(list(step.argv))"):
         assert shape in sources
     assert any(src.startswith("QaeModel(encoder, ") for src in sources)
     unbound = []
@@ -100,6 +114,9 @@ def test_micro_and_checks_call_shapes_bind():
         except TypeError as exc:
             unbound.append(f"{src}: {exc}")
     assert unbound == []
+    # tracing.overhead_per_call times apply_circuit by handing it to a helper
+    assert "cost_of(apply_circuit, state, u3, angles)" in (BENCH / "tracing.py").read_text()
+    inspect.signature(circuit.apply_circuit).bind("state", "u3", "angles")
 
 
 def test_batched_trash_cost_fn_returns_cost_and_gradient():

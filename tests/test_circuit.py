@@ -7,8 +7,7 @@ from latentvqe.ansatz import efficient_su2, strongly_entangling, uccsd_h2
 from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
     Circuit, Gate, Param, bind_constants, circuit_to_dict,
-    gate_matrix, inverse, resource_counts, ry_matrix, rz_matrix, simulate,
-    swap_test_circuit, u1_matrix, u3_matrix,
+    gate_matrix, inverse, resource_counts, simulate, swap_test_circuit,
 )
 from latentvqe.statevector import StateVector, zero_state
 
@@ -32,30 +31,35 @@ def random_circuit(rng, n_qubits, n_gates, n_params):
     return Circuit(n_qubits, tuple(gates), n_params)
 
 
+def matrix(kind: str, *angles) -> np.ndarray:
+    """gate_matrix of a `kind` gate with constant `angles`."""
+    return gate_matrix(Gate(kind, (0,), tuple(map(Param.const, angles))), np.zeros(0))
+
+
 class TestGateMatrices:
     def test_u3_examples(self):
-        assert np.allclose(u3_matrix(0, 0, 0), np.eye(2))
-        assert np.allclose(u3_matrix(np.pi, 0, np.pi), [[0, 1], [1, 0]], atol=1e-15)
+        assert np.allclose(matrix("U3", 0, 0, 0), np.eye(2))
+        assert np.allclose(matrix("U3", np.pi, 0, np.pi), [[0, 1], [1, 0]], atol=1e-15)
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(u3_matrix(np.pi / 2, 0, np.pi), hadamard, atol=1e-15)
+        assert np.allclose(matrix("U3", np.pi / 2, 0, np.pi), hadamard, atol=1e-15)
 
     def test_u1_examples(self):
-        assert np.allclose(u1_matrix(0), np.eye(2))
-        assert np.allclose(u1_matrix(np.pi), np.diag([1, -1]))
-        assert np.allclose(u1_matrix(np.pi / 2), np.diag([1, 1j]))
+        assert np.allclose(matrix("U1", 0), np.eye(2))
+        assert np.allclose(matrix("U1", np.pi), np.diag([1, -1]))
+        assert np.allclose(matrix("U1", np.pi / 2), np.diag([1, 1j]))
 
     def test_non_finite_rejected(self):
-        for fn, args in ((u3_matrix, (np.nan, 0, 0)), (u1_matrix, (np.inf,)),
-                         (ry_matrix, (np.nan,)), (rz_matrix, (-np.inf,))):
-            with pytest.raises(ValueError):
-                fn(*args)
+        for kind, angles in (("U3", (np.nan, 0, 0)), ("U3", (0, 0, np.inf)), ("U1", (np.inf,)),
+                             ("RY", (np.nan,)), ("RZ", (-np.inf,))):
+            with pytest.raises(ValueError, match="finite"):
+                matrix(kind, *angles)
 
     def test_all_constructed_matrices_unitary(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             angles = rng.uniform(-10, 10, 3)
-            for u in (u3_matrix(*angles), u1_matrix(angles[0]),
-                      ry_matrix(angles[1]), rz_matrix(angles[2])):
+            for u in (matrix("U3", *angles), matrix("U1", angles[0]), matrix("RY", angles[1]),
+                      matrix("RZ", angles[2]), matrix("H"), matrix("X")):
                 assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -92,7 +96,7 @@ class TestInverse:
         inv = inverse(c)
         lam = 0.81
         m = gate_matrix(inv.gates[0], np.array([lam]))
-        assert np.allclose(m, u1_matrix(-lam))
+        assert np.allclose(m, matrix("U1", -lam))
 
     def test_random_circuit_round_trip(self):
         rng = np.random.default_rng(9)

@@ -45,6 +45,21 @@ def test_directory_as_input_is_upstream_error(tmp_path, ham, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, out", [
+    (["ham", "build", "--distance", "0.735"], "{file}/ham.json"),
+    (["ham", "build", "--distance", "0.735"], "{dir}"),
+    (["ham", "build", "--grid", "0.4:0.8:2"], "{file}/grid"),
+    (["vqe", "run", "--ansatz", "su2", "--ham", "{ham}", "--max-iterations", "1"], "{dir}"),
+], ids=["under_a_file", "a_directory", "grid_under_a_file", "vqe_run_to_a_directory"])
+def test_unwritable_out_is_usage_error(tmp_path, ham, capsys, command, out):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    paths = {"file": tmp_path / "afile", "dir": tmp_path / "adir", "ham": ham}
+    out = out.format(**paths)
+    assert run(*[a.format(**paths) for a in command], "--out", out) == EXIT_USAGE
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 class TestHamBuild:
     def test_single_distance(self, tmp_path):
         out = tmp_path / "ham.json"

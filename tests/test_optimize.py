@@ -5,7 +5,7 @@ import pytest
 
 from latentvqe.ansatz import strongly_entangling
 from latentvqe.artifacts import canonical_json
-from latentvqe.circuit import Circuit, Gate, Param, u3_matrix
+from latentvqe.circuit import Circuit, Gate, Param, gate_matrix
 from latentvqe.hamiltonian import QubitHamiltonian, exact_ground_energy
 from latentvqe.optimize import (
     LATENT_PQC_SPEC, DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
@@ -381,7 +381,8 @@ class TestClosedFormSolves:
             qubit = int(rng.integers(2))
             theta, phi, lam = rng.uniform(-np.pi, np.pi, 3)
             def energy(x):
-                psi = _apply_1q(pre, u3_matrix(theta + x[0], phi + x[1], lam), qubit, 2)
+                u3 = Gate("U3", (qubit,), tuple(map(Param.const, (theta + x[0], phi + x[1], lam))))
+                psi = _apply_1q(pre, gate_matrix(u3, np.zeros(0)), qubit, 2)
                 return float(np.real(np.vdot(psi, hmat @ psi)))
             grid = np.array([[energy((s, t)) for t in _SHIFTS] for s in _SHIFTS])
             if box == "unbounded":

@@ -84,9 +84,9 @@ def test_cnot_x_runs_are_exact(seed):
     circuit = Circuit(n, tuple(gates), 0)
     (step,) = compile_plan(circuit).steps
     for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 2)):
-        assert np.array_equal(step.apply(amp), apply_gates(amp, gates, np.zeros(0), n))
+        assert np.array_equal(step.matrix @ amp, apply_gates(amp, gates, np.zeros(0), n))
         # the transpose undoes the run, as the backward walk needs
-        assert np.array_equal(step.apply_transpose(step.apply(amp)), amp)
+        assert np.array_equal(step.matrix.T @ (step.matrix @ amp), amp)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -322,7 +322,8 @@ def test_gradient_matches_two_term_rule(name):
 
 
 def test_plan_is_compiled_once_per_circuit():
-    # energy_fn rebuilt for equal circuits, as nn eval does per bond length, compiles nothing new
+    # energy_fn rebuilt for equal circuits, as each CLI command in one process does (the
+    # benchmark runs many), compiles nothing new
     x = np.zeros(latent_circuit().n_params)
     energy_fn(latent_circuit(seed=4), hamiltonian_for_distance(0.5), zero_state(4))(x)
     misses = compile_plan.cache_info().misses

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentvqe.circuit import (
-    Circuit, Gate, Param, gate_matrix, simulate, swap_test_circuit, u3_matrix,
+    Circuit, Gate, Param, gate_matrix, simulate, swap_test_circuit,
 )
 from latentvqe.statevector import (
     PauliString, StateVector, _apply_1q, _pauli_action, expectation, partial_trace, zero_state,
@@ -68,6 +68,11 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def u3(theta, phi, lam) -> np.ndarray:
+    """The U3 matrix of `gate_matrix` at constant angles."""
+    return gate_matrix(Gate("U3", (0,), tuple(map(Param.const, (theta, phi, lam)))), np.zeros(0))
+
+
 def random_state(rng, n):
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(n, amp / np.linalg.norm(amp))
@@ -100,7 +105,7 @@ class TestApplyGate:
     def test_u3_zero_is_identity(self):
         rng = np.random.default_rng(0)
         s = random_state(rng, 3)
-        out = apply_gate(s, u3_matrix(0, 0, 0), [1])
+        out = apply_gate(s, u3(0, 0, 0), [1])
         assert np.allclose(out.amplitudes, s.amplitudes)
 
     def test_rejects_non_unitary(self):
@@ -124,14 +129,14 @@ class TestApplyGate:
                     t = rng.choice(n, size=2, replace=False)
                     s = apply_gate(s, CNOT01, tuple(int(x) for x in t))
                 else:
-                    u = u3_matrix(*rng.uniform(0, 2 * np.pi, 3))
+                    u = u3(*rng.uniform(0, 2 * np.pi, 3))
                     s = apply_gate(s, u, [int(rng.integers(n))])
             assert abs(s.norm() - 1.0) < 1e-10
 
     def test_unitarity_round_trip(self):
         rng = np.random.default_rng(7)
         s = random_state(rng, 4)
-        u = u3_matrix(*rng.uniform(0, 2 * np.pi, 3))
+        u = u3(*rng.uniform(0, 2 * np.pi, 3))
         back = apply_gate(apply_gate(s, u, [2]), u.conj().T, [2])
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-10
 
