@@ -84,7 +84,7 @@ class Circuit:
     @cached_property
     def plan(self) -> "Plan":
         """This circuit's evaluation plan (`compile_plan`), looked up once per object: the
-        lookup hashes the gate tuple, 13-40 us from encoder to UCCSD on a 2-core Xeon."""
+        lookup hashes the gate tuple, 13-60 us from encoder to UCCSD on a 2-core Xeon."""
         return compile_plan(self)
 
 
@@ -402,8 +402,8 @@ def _step(op: np.ndarray, amp: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=128)
 def compile_plan(circuit: Circuit) -> Plan:
     """The circuit's evaluation plan, compiled once per distinct circuit (0.2 ms for the
-    encoder to 2.4 ms for UCCSD on a 2-core Xeon): equal circuits that later CLI commands
-    in the same process rebuild reuse it."""
+    encoder to 2.4 ms for UCCSD on a 2-core Xeon). Each CLI command builds its circuits
+    anew, so later commands in the same process reuse the plans of equal circuits."""
     return Plan(circuit)
 
 
