@@ -2,12 +2,16 @@
 
 One schema tag, one canonical encoding (sorted keys, no whitespace, so
 reruns reproduce artifacts byte for byte) and one check on the way back in.
+The tag names the whole format, including what only the code fixes: the
+encoder, the latent and trash wires, the MLP's tanh and the latent PQC.
+Files carry only the numbers that vary, and a change to any fixed part
+takes a new tag.
 """
 from __future__ import annotations
 
 import json
 
-SCHEMA_VERSION = "latentvqe/1"
+SCHEMA_VERSION = "latentvqe/2"
 
 
 def canonical_json(doc: dict) -> str:

@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .artifacts import SCHEMA_VERSION
 from .statevector import StateVector, _apply_1q
 
 PARAM_ARITY = {"U3": 3, "U1": 1, "RY": 1, "RZ": 1, "H": 0, "X": 0, "CNOT": 0}
@@ -445,27 +444,6 @@ def bind_constants(circuit: Circuit, params) -> Circuit:
         for g in circuit.gates
     )
     return Circuit(circuit.n_qubits, gates, 0)
-
-
-# --- serialization ---------------------------------------------------------
-
-def circuit_to_dict(circuit: Circuit) -> dict:
-    gates = []
-    for g in circuit.gates:
-        rec: dict = {"kind": g.kind, "targets": list(g.targets)}
-        if g.params:
-            rec["slots"] = [p.slot for p in g.params]
-            if any(p.coeff != 1.0 and p.slot is not None for p in g.params):
-                rec["coeffs"] = [p.coeff for p in g.params]
-            if any(p.offset != 0.0 for p in g.params):
-                rec["offsets"] = [p.offset for p in g.params]
-        gates.append(rec)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n_qubits": circuit.n_qubits,
-        "n_params": circuit.n_params,
-        "gates": gates,
-    }
 
 
 # --- SWAP-test property-check circuit --------------------------------------

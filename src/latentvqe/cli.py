@@ -244,9 +244,6 @@ def cmd_vqe_run(args):
         "seed": args.seed,
         "points": results,
     }
-    if len(results) == 1:
-        doc.update({k: results[0][k] for k in
-                    ("bond_length", "energy", "oracle_energy", "error", "params", "evaluations")})
     out = Path(args.out)
     _write_json(out, doc)
     return (out, {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},

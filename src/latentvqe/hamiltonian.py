@@ -366,7 +366,10 @@ def hamiltonian_from_dict(doc: dict) -> QubitHamiltonian:
         raise ValueError(f"a Pauli string does not act on n_qubits = {n_qubits} qubits")
     if not terms or not math.isfinite(sum(abs(t.coefficient) for t in terms)):
         raise ValueError("a Hamiltonian needs at least one term and a finite sum of |coefficients|")
-    return QubitHamiltonian(n_qubits, terms, float(doc["bond_length_angstrom"]))
+    bond_length = float(doc["bond_length_angstrom"])
+    if not math.isfinite(bond_length):
+        raise ValueError(f"bond_length_angstrom must be finite, got {bond_length}")
+    return QubitHamiltonian(n_qubits, terms, bond_length)
 
 
 def hamiltonian_from_json(text: str) -> QubitHamiltonian:

@@ -283,7 +283,6 @@ def model_to_dict(model: MlpModel) -> dict:
         "layer_sizes": list(model.layer_sizes),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "activation": "tanh",
         "input_normalization": {"min": model.input_min, "max": model.input_max},
         "seed": model.seed,
         "dataset_hash": model.dataset_hash,
@@ -292,9 +291,6 @@ def model_to_dict(model: MlpModel) -> dict:
 
 def model_from_dict(doc: dict) -> MlpModel:
     require_schema(doc, "model")
-    # _forward computes tanh hidden layers only
-    if doc["activation"] != "tanh":
-        raise ValueError(f"unsupported activation {doc['activation']!r}; only 'tanh' is computed")
     model = MlpModel(
         layer_sizes=tuple(doc["layer_sizes"]),
         weights=tuple(np.array(w) for w in doc["weights"]),

@@ -426,30 +426,19 @@ class DatasetRecord:
         return self.energy - self.oracle_energy
 
 
-# the 12-parameter PQC that the latent VQE optimizes on the latent wires (qae.LATENT_PQC),
-# and its name on the dataset CSV meta line
+# the 12-parameter PQC that the latent VQE optimizes on the latent wires (qae.LATENT_PQC)
 LATENT_PQC = strongly_entangling(2, 1)
-LATENT_PQC_SPEC = {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 1,
-                   "options": {}}
 
 
 @dataclass(frozen=True)
 class ParameterDataset:
     records: tuple[DatasetRecord, ...]
     anchor_index: int
-    pqc_spec: dict | None = None    # LATENT_PQC_SPEC, or None for angles of no named PQC
 
     def __post_init__(self):
-        if self.pqc_spec is not None and (canonical_json(self.pqc_spec)
-                                          != canonical_json(LATENT_PQC_SPEC)):
-            raise ValueError(f"unknown pqc_spec {self.pqc_spec!r}; the only PQC is "
-                             f"{LATENT_PQC_SPEC!r}")
         lengths = {r.angles.size for r in self.records}
         if len(lengths) > 1:
             raise ValueError("records carry angle vectors of different lengths")
-        if self.pqc_spec is not None and self.records and self.n_params != LATENT_PQC.n_params:
-            raise ValueError(f"the latent PQC takes {LATENT_PQC.n_params} angles, the "
-                             f"records carry {self.n_params}")
         if self.records and not 0 <= self.anchor_index < len(self.records):
             raise ValueError(f"anchor_index {self.anchor_index} outside the "
                              f"{len(self.records)} records")
@@ -510,8 +499,7 @@ def constrained_sweep(
     discontinuity symptoms. delta is the secant theta_{i-1} - theta_{i-2};
     on the first step out of the anchor, where there is no second point, it
     is the tangent predictor `first_step_delta` at the anchor angles. Each
-    step is a staged solve with its default 1e-11 Hartree stop. The dataset
-    is tagged LATENT_PQC_SPEC.
+    step is a staged solve with its default 1e-11 Hartree stop.
     """
     hamiltonians = list(hamiltonians)
     if not 0 <= anchor_index < len(hamiltonians):
@@ -554,7 +542,7 @@ def constrained_sweep(
             idx += direction
 
     records = tuple(results[i] for i in sorted(results))
-    return ParameterDataset(records, anchor_index, LATENT_PQC_SPEC)
+    return ParameterDataset(records, anchor_index)
 
 
 # --- dataset CSV ------------------------------------------------------------
@@ -567,10 +555,7 @@ def _fmt(x: float) -> str:
 
 
 def dataset_to_csv(dataset: ParameterDataset) -> str:
-    meta = {"anchor_index": dataset.anchor_index}
-    if dataset.pqc_spec is not None:
-        meta["pqc_spec"] = dataset.pqc_spec
-    lines = [f"# {DATASET_SCHEMA} {canonical_json(meta)}"]
+    lines = [f"# {DATASET_SCHEMA} {canonical_json({'anchor_index': dataset.anchor_index})}"]
     p = dataset.n_params
     lines.append(",".join(
         ["bond_length", "energy", "oracle_energy", "flag"] + [f"theta_{k}" for k in range(p)]
@@ -593,11 +578,12 @@ def dataset_from_csv(text: str) -> ParameterDataset:
     records = []
     for ln in lines[2:]:
         cells = ln.split(",")
-        if len(cells) < 4:
-            raise ValueError(f"dataset row has {len(cells)} cells, need at least 4: {ln!r}")
+        if len(cells) != len(header):
+            raise ValueError(f"dataset row has {len(cells)} cells, the header names "
+                             f"{len(header)}: {ln!r}")
         bond, energy, oracle = (float(c) for c in cells[:3])
         flag, angles = int(cells[3]), np.array([float(c) for c in cells[4:]])
         if flag not in (0, 1) or not np.all(np.isfinite([bond, energy, oracle, *angles])):
             raise ValueError(f"dataset row needs finite numbers and a 0 or 1 flag: {ln!r}")
         records.append(DatasetRecord(bond, angles, energy, oracle, bool(flag)))
-    return ParameterDataset(tuple(records), int(meta["anchor_index"]), meta.get("pqc_spec"))
+    return ParameterDataset(tuple(records), int(meta["anchor_index"]))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import qae_encoder
-from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
-from .circuit import Circuit, apply_circuit, bind_constants, circuit_to_dict, inverse, simulate
+from .artifacts import SCHEMA_VERSION, require_schema
+from .circuit import Circuit, apply_circuit, bind_constants, inverse, simulate
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from .optimize import (
     LATENT_PQC, OptimizerConfig, adam_minimize, batched_energies, batched_shift_gradient,
@@ -24,9 +24,8 @@ from .statevector import StateVector, partial_trace
 
 LATENT_QUBITS = (0, 1)
 TRASH_QUBITS = (2, 3)
-# the one encoder: every QaeModel and every qae.json carries exactly this circuit
+# the one encoder: every QaeModel carries exactly this circuit, and qae.json only its angles
 ENCODER = qae_encoder(len(LATENT_QUBITS) + len(TRASH_QUBITS), 2)
-_ENCODER_JSON = canonical_json(circuit_to_dict(ENCODER))
 DEFAULT_TRAINING_BOND_LENGTHS = (0.4, 0.7, 1.0, 1.5, 2.0, 2.5)
 # Adam budget, gradient stop and restart budget of QAE training, and the trash cost it aims below
 QAE_CONFIG = OptimizerConfig(max_iterations=1200, tolerance=1e-13, restarts=20)
@@ -181,10 +180,7 @@ def reconstruct(model: QaeModel, state: StateVector) -> StateVector:
 def qae_to_dict(model: QaeModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "encoder": circuit_to_dict(model.encoder),
         "encoder_params": [float(x) for x in model.encoder_params],
-        "latent_qubits": list(LATENT_QUBITS),
-        "trash_qubits": list(TRASH_QUBITS),
         "achieved_trash_infidelity": model.achieved_trash_infidelity,
         "training_bond_lengths": list(model.training_bond_lengths),
     }
@@ -192,13 +188,6 @@ def qae_to_dict(model: QaeModel) -> dict:
 
 def qae_from_dict(doc: dict) -> QaeModel:
     require_schema(doc, "QAE")
-    # the decoder only restores states whose trash register it was trained to empty
-    if doc["latent_qubits"] != list(LATENT_QUBITS) or doc["trash_qubits"] != list(TRASH_QUBITS):
-        raise ValueError(f"QAE wires must be latent {list(LATENT_QUBITS)} and trash "
-                         f"{list(TRASH_QUBITS)}, got {doc['latent_qubits']} and "
-                         f"{doc['trash_qubits']}")
-    if canonical_json(doc["encoder"]) != _ENCODER_JSON:
-        raise ValueError("QAE encoder is not qae_encoder(4, 2), the one encoder trained")
     return QaeModel(
         encoder=ENCODER,
         encoder_params=np.array(doc["encoder_params"], dtype=float),

@@ -70,29 +70,50 @@ def test_bench_imports_resolve():
                   if not resolves(m, n)) == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def bound_imports(scope: ast.AST) -> dict[str, tuple[str, str]]:
+    """name -> (module, name) for each `from latentvqe[.x] import name` that binds in
+    `scope` itself, not in a function or class defined inside it."""
+    found, stack = {}, list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPES):
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "latentvqe":
+            found.update({alias.asname or alias.name: (node.module, alias.name)
+                          for alias in node.names})
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def package_calls(script: str) -> list[tuple[str, object, ast.Call]]:
     """(source text, callee, call) for every call in bench/<script> to a name that it
-    imports from latentvqe, or to an attribute of one (`mlp.train`, `Param.ref`)."""
+    imports from latentvqe, or to an attribute of one (`mlp.train`, `Param.ref`).
+
+    A name resolves against the imports of the module and of each function that
+    encloses the call, so a function's local import does not reach module level.
+    """
     text = (BENCH / script).read_text()
-    tree = ast.parse(text)
-    imported = {alias.asname or alias.name: (node.module, alias.name)
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module
-                and node.module.split(".")[0] == "latentvqe"
-                for alias in node.names}
     calls = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
+
+    def visit(node: ast.AST, imported: dict) -> None:
+        if isinstance(node, _SCOPES):
+            imported = {**imported, **bound_imports(node)}
+        func = node.func if isinstance(node, ast.Call) else None
         if isinstance(func, ast.Name) and func.id in imported:
-            callee = package_object(*imported[func.id])
+            calls.append((ast.get_source_segment(text, node), package_object(*imported[func.id]),
+                          node))
         elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
               and func.value.id in imported):
             callee = getattr(package_object(*imported[func.value.id]), func.attr)
-        else:
-            continue
-        calls.append((ast.get_source_segment(text, node), callee, node))
+            calls.append((ast.get_source_segment(text, node), callee, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, imported)
+
+    tree = ast.parse(text)
+    visit(tree, bound_imports(tree))
     return calls
 
 

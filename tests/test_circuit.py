@@ -1,13 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from latentvqe.ansatz import efficient_su2, strongly_entangling, uccsd_h2
-from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
-    Circuit, Gate, Param, bind_constants, circuit_to_dict,
-    gate_matrix, inverse, resource_counts, simulate, swap_test_circuit,
+    Circuit, Gate, Param, bind_constants, gate_matrix, inverse, resource_counts, simulate,
 )
 from latentvqe.statevector import StateVector, zero_state
 
@@ -123,23 +119,6 @@ class TestResourceCounts:
         bound = bind_constants(c, np.linspace(0, 1, 12))
         assert resource_counts(bound)["n_gates"] == resource_counts(c)["n_gates"]
         assert resource_counts(bound)["n_two_qubit"] == resource_counts(c)["n_two_qubit"]
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("circ", [
-        strongly_entangling(3, 2),
-        efficient_su2(4, 3),
-        uccsd_h2(),
-        swap_test_circuit(2),
-    ])
-    def test_round_trip_lossless(self, circ):
-        # a document read back from its text re-encodes to the same text, which
-        # qae_from_dict's canonical comparison of the encoder relies on
-        doc = circuit_to_dict(circ)
-        text = canonical_json(doc)
-        assert json.loads(text) == doc
-        assert canonical_json(json.loads(text)) == text
-        assert len(doc["gates"]) == len(circ.gates)
 
 
 class TestValidation:

@@ -177,7 +177,7 @@ class TestTrain:
         )
         # 25 of 40 records flagged leaves 15 usable, below the minimum of 20
         with pytest.raises(ValueError, match="unflagged"):
-            train(ParameterDataset(flagged, 0, None), TrainConfig(epochs=10))
+            train(ParameterDataset(flagged, 0), TrainConfig(epochs=10))
 
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ class TestTrain:
         bad = list(ds.records)
         bad[3] = DatasetRecord(bad[3].bond_length, np.full(4, np.inf), -1.0, -1.0, False)
         with pytest.raises(ValueError, match="non-finite"):
-            train(ParameterDataset(tuple(bad), 0, None), TrainConfig(epochs=10))
+            train(ParameterDataset(tuple(bad), 0), TrainConfig(epochs=10))
 
 
 class TestPredict:
@@ -246,15 +246,13 @@ class TestSerialization:
                          tuple(np.zeros(n) for n in sizes[1:]), 0.5, 1.5)
         return json.loads(model_to_json(model))
 
-    @pytest.mark.parametrize("malform", ["relu_activation", "short_last_bias", "bias_missing",
-                                         "extra_weight", "two_inputs"])
+    @pytest.mark.parametrize("malform", ["short_last_bias", "bias_missing", "extra_weight",
+                                         "two_inputs"])
     def test_malformed_model_rejected(self, malform):
         doc = self.small_doc()
-        assert doc["activation"] == "tanh"
+        assert "activation" not in doc     # the schema tag fixes the hidden layers to tanh
         model_from_json(json.dumps(doc))
-        if malform == "relu_activation":
-            doc["activation"] = "relu"     # _forward computes tanh only
-        elif malform == "short_last_bias":
+        if malform == "short_last_bias":
             doc["biases"][-1] = [0.0]
         elif malform == "bias_missing":
             doc["biases"].pop()
@@ -263,5 +261,5 @@ class TestSerialization:
         else:
             doc["layer_sizes"][0] = 2
             doc["weights"][0] *= 2
-        with pytest.raises(ValueError, match="activation|shape|layer|input"):
+        with pytest.raises(ValueError, match="shape|layer|input"):
             model_from_json(json.dumps(doc))

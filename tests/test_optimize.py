@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from latentvqe.ansatz import strongly_entangling
-from latentvqe.artifacts import canonical_json
+from latentvqe.artifacts import SCHEMA_VERSION
 from latentvqe.circuit import Circuit, Gate, Param, gate_matrix
 from latentvqe.hamiltonian import QubitHamiltonian, exact_ground_energy
 from latentvqe.optimize import (
-    LATENT_PQC_SPEC, DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
+    DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
     batched_shift_gradient, constrained_sweep, dataset_from_csv, dataset_to_csv,
     energy_fn, first_step_delta, minimize, optimize_vqe, parameter_shift_gradient,
     staged_gate_optimize,
@@ -437,9 +437,6 @@ class TestConstrainedSweep:
                                StepConstraint(0.5, 0.05))
         return ds, hams, anchor_idx
 
-    def test_tagged_with_the_latent_pqc(self, sweep):
-        assert sweep[0].pqc_spec == LATENT_PQC_SPEC
-
     def test_bound_admissibility_and_smoothness(self, sweep):
         ds, hams, anchor_idx = sweep
         con = StepConstraint(0.5, 0.05)
@@ -499,49 +496,32 @@ class TestDatasetCsv:
                           -1.0 + 1e-8, -1.0, False)
             for i in range(5)
         )
-        ds = ParameterDataset(records, 2, LATENT_PQC_SPEC)
+        ds = ParameterDataset(records, 2)
         text = dataset_to_csv(ds)
         back = dataset_from_csv(text)
         assert back.anchor_index == 2
-        assert back.pqc_spec == ds.pqc_spec
         assert np.array_equal(back.angle_matrix(), ds.angle_matrix())
         assert dataset_to_csv(back) == text
 
     def test_header_layout(self):
         ds = ParameterDataset(
-            (DatasetRecord(0.5, np.zeros(3), -1.0, -1.0, False),), 0, None)
+            (DatasetRecord(0.5, np.zeros(3), -1.0, -1.0, False),), 0)
         lines = dataset_to_csv(ds).splitlines()
-        assert lines[0].startswith("# latentvqe/1 parameter-dataset")
+        assert lines[0] == f'# {SCHEMA_VERSION} parameter-dataset {{"anchor_index":0}}'
         assert lines[1] == "bond_length,energy,oracle_energy,flag,theta_0,theta_1,theta_2"
 
     def test_variational_violation_rejected(self):
         with pytest.raises(ValueError, match="variational"):
             ParameterDataset(
-                (DatasetRecord(0.5, np.zeros(3), -2.0, -1.0, False),), 0, None)
+                (DatasetRecord(0.5, np.zeros(3), -2.0, -1.0, False),), 0)
 
-    @pytest.mark.parametrize("spec", [
-        {"family": "EFFICIENT_SU2", "n_qubits": 2, "reps_or_layers": 1, "options": {}},
-        {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 2, "options": {}},
-        {"family": "STRONGLY_ENTANGLING", "n_qubits": 2.0, "reps_or_layers": 1, "options": {}},
-        {"family": "STRONGLY_ENTANGLING", "n_qubits": 2, "reps_or_layers": 1},
-        "STRONGLY_ENTANGLING",
-    ], ids=["other_family", "two_layers", "float_width", "no_options", "bare_string"])
-    def test_only_the_latent_pqc_spec_is_read(self, spec):
-        ds = ParameterDataset((DatasetRecord(0.5, np.zeros(12), -1.0, -1.0, False),), 0,
-                              LATENT_PQC_SPEC)
-        text = dataset_to_csv(ds)
-        assert text.splitlines()[0] == (
-            '# latentvqe/1 parameter-dataset {"anchor_index":0,"pqc_spec":{"family":'
-            '"STRONGLY_ENTANGLING","n_qubits":2,"options":{},"reps_or_layers":1}}')
-        assert dataset_from_csv(text).pqc_spec == LATENT_PQC_SPEC
-        bad = text.replace(canonical_json(LATENT_PQC_SPEC), canonical_json(spec))
-        with pytest.raises(ValueError, match="pqc_spec"):
-            dataset_from_csv(bad)
-
-    def test_latent_pqc_spec_needs_its_width(self):
-        with pytest.raises(ValueError, match="takes 12 angles"):
-            ParameterDataset((DatasetRecord(0.5, np.zeros(3), -1.0, -1.0, False),), 0,
-                             LATENT_PQC_SPEC)
+    @pytest.mark.parametrize("n_angles", [1, 2, 4])
+    def test_row_width_must_match_header(self, n_angles):
+        # the header names theta_0..theta_2; a row with any other angle count is refused
+        ds = ParameterDataset((DatasetRecord(0.5, np.zeros(3), -1.0, -1.0, False),), 0)
+        head, row = dataset_to_csv(ds).splitlines()[:2], "0.5,-1,-1,0" + ",0" * n_angles
+        with pytest.raises(ValueError, match="header names 7"):
+            dataset_from_csv("\n".join(head + [row]) + "\n")
 
     @pytest.mark.parametrize("anchor", [-1, 2])
     def test_anchor_index_inside_records(self, anchor):

@@ -1,15 +1,12 @@
 """Property tests over random circuits, states and Pauli strings (hypothesis)."""
-import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentvqe.ansatz import strongly_entangling
-from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
-    PARAM_ARITY, Circuit, Gate, Param, apply_circuit, apply_gates, circuit_to_dict, inverse,
-    simulate,
+    PARAM_ARITY, Circuit, Gate, Param, apply_circuit, apply_gates, inverse, simulate,
 )
 from latentvqe.hamiltonian import _string_product
 from latentvqe.optimize import batched_shift_gradient, energy_fn, staged_gate_optimize
@@ -51,16 +48,6 @@ def circuits(draw, max_gates=12, coeffs=finite):
         for g in gates
     ]
     return Circuit(N_QUBITS, tuple(gates), len(used))
-
-
-@settings(max_examples=150, deadline=None)
-@given(circuits())
-def test_circuit_json_round_trip(circuit):
-    # random coefficients and offsets survive the text exactly
-    doc = circuit_to_dict(circuit)
-    text = canonical_json(doc)
-    assert json.loads(text) == doc
-    assert canonical_json(json.loads(text)) == text
 
 
 @settings(max_examples=100, deadline=None)
