@@ -166,21 +166,28 @@ _ONE, _ZERO = np.ones(1), np.zeros(1)  # a rotation table's padding entry and it
 
 
 class ConstantStep:
-    """A run of gates without a free angle, applied as one dense unitary.
+    """A run of gates without a free angle, applied as one dense unitary (`matrix`).
 
-    The matrix of a run of CNOT and X gates only is a permutation with exact
-    0/1 entries, so its product with finite amplitudes is exact: each term is
-    x * 1 or x * 0, and adding zeros changes nothing.
+    A run of CNOT and X gates only is a permutation: its matrix has one 1 per
+    row, at `op`, so the plan applies it as the row gather amp[op] and its
+    backward step as lam[inverse]. The dense product is exact too, since each
+    of its terms is x * 1 or x * 0 and adding zeros changes nothing, so both
+    give the same values (the gather also keeps the sign of a zero amplitude,
+    which the product makes +0). Runs with H or a constant U1 or U3 stay dense.
     """
 
     kind = "constant"
 
     def __init__(self, gates, n: int):
         self.matrix = apply_gates(np.eye(1 << n, dtype=complex), gates, np.zeros(0), n)
+        self.op, self.inverse = self.matrix, None
+        if all(g.kind in ("CNOT", "X") for g in gates):
+            self.op = np.argmax(self.matrix.real, axis=1)  # the plan's operator: the gather
+            self.inverse = np.argsort(self.op)
 
     def backward(self, lam: np.ndarray, pre, op, angles, dangles, tables) -> np.ndarray:
         """M^dag lam; the step has no free angle to differentiate."""
-        return op.conj().T @ lam
+        return op.conj().T @ lam if self.inverse is None else lam[self.inverse]
 
 
 class LayerStep:
@@ -292,7 +299,20 @@ class Plan:
             table.extend(p for g in gates for p in g.params)
             steps.append(same[-1])
         self.steps, self.n_params = tuple(steps), circuit.n_params
-        self._phases = layers.pop("phase", [])
+        # the phase layers of one width share one stacked product; renumber them so that
+        # each width's layers are adjacent rows of the phase stack
+        phases = sorted(layers.pop("phase", []), key=lambda s: len(s.gates))
+        widths: dict[int, list] = {}
+        for layer, s in enumerate(phases):
+            s.layer = layer
+            widths.setdefault(len(s.gates), []).append(s)
+        self._exponents_shape = (len(phases), 1 << n, 1)
+        # per width: rows, (layers, 2^n, width) weights, each layer's column-major as
+        # `weights` is (so numpy makes the same BLAS call as for one layer), angle index
+        self._phase_groups = [
+            (slice(same[0].layer, same[-1].layer + 1),
+             np.array([s.weights.T for s in same]).transpose(0, 2, 1),
+             np.array([np.arange(s.lo, s.hi) for s in same])[..., None]) for same in widths.values()]
         self._rotations = {}
         for kind, same in layers.items():
             size, width = sizes[kind], max(len(s.gates) for s in same)
@@ -320,7 +340,7 @@ class Plan:
         if params.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {params.shape}")
         angles = self._coeffs * params[self._slots] + self._offsets
-        if not np.all(np.isfinite(angles)):
+        if not np.isfinite(angles).all():
             raise ValueError("gate angles must be finite")
         return angles
 
@@ -344,28 +364,35 @@ class Plan:
         return tables
 
     def operators(self, angles: np.ndarray, tables: dict) -> list:
-        """One operator per step: a 2^n x 2^n matrix for a constant or rotation step,
-        a 2^n phase vector for a phase step. Per rotation kind one gather and one
-        product build the Kronecker products of all its layers; all phase layers
-        share one exp."""
+        """One operator per step: a 2^n x 2^n matrix for a rotation or dense constant
+        step, a row-gather index for a permutation step, a 2^n phase vector for a
+        phase step. Per rotation kind one gather and one product build the Kronecker
+        products of all its layers. The phase layers of one width share one stacked
+        weights @ angles product, each layer's the same matrix-vector product it is
+        alone, and all phase layers share one exp."""
         stacks = {}
         for kind, (entries, _) in tables.items():
             _, _, index, mask = self._rotations[kind]
             kron = entries[index].prod(axis=1)
             stacks[kind] = kron if mask is None else kron * mask
-        if self._phases:
-            exponents = np.empty((len(self._phases), len(self._phases[0].weights)))
-            for out, step in zip(exponents, self._phases):
-                np.matmul(step.weights, angles[step.lo:step.hi], out=out)
-            stacks["phase"] = np.exp(1j * exponents)
-        return [step.matrix if step.kind == "constant" else stacks[step.kind][step.layer]
+        if self._phase_groups:
+            exponents = np.empty(self._exponents_shape)
+            for rows, weights, index in self._phase_groups:
+                np.matmul(weights, angles[index], out=exponents[rows])
+            stacks["phase"] = np.exp(1j * exponents[..., 0])
+        return [stacks[step.kind][step.layer] if isinstance(step, LayerStep) else step.op
                 for step in self.steps]
 
     def apply(self, amp: np.ndarray, params) -> np.ndarray:
         """Run every step on a vector or (2^n, batch) stack."""
         angles = self.angles(params)
-        for op in self.operators(angles, self.tables(angles)):
-            amp = _step(op, amp)
+        for step, op in zip(self.steps, self.operators(angles, self.tables(angles))):
+            if step.kind == "phase":
+                amp = (op[:, None] if amp.ndim > 1 else op) * amp
+            elif op.ndim == 2:
+                amp = op @ amp
+            else:  # a permutation's gather
+                amp = amp[op]
         return amp
 
     def gradient(self, amp: np.ndarray, params, observable: np.ndarray) -> np.ndarray:
@@ -383,8 +410,10 @@ class Plan:
         tables = self.tables(angles, derivative=True)
         ops = self.operators(angles, tables)
         states = [amp]
-        for op in ops:
-            states.append(_step(op, states[-1]))
+        for step, op in zip(self.steps, ops):  # `apply`'s walk, keeping the state before each step
+            pre = states[-1]
+            states.append(op[:, None] * pre if step.kind == "phase"
+                          else op @ pre if op.ndim == 2 else pre[op])
         lam = observable @ states.pop()
         dangles = np.zeros_like(angles)
         for step, op, pre in zip(reversed(self.steps), reversed(ops), reversed(states)):
@@ -393,10 +422,6 @@ class Plan:
         np.add.at(grad, self._slots, 2.0 * self._coeffs * dangles)
         return grad
 
-
-def _step(op: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """One step of a plan: a matrix product, or a phase vector times each column."""
-    return op @ amp if op.ndim == 2 else (op[:, None] if amp.ndim > 1 else op) * amp
 
 @lru_cache(maxsize=128)
 def compile_plan(circuit: Circuit) -> Plan:

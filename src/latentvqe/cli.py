@@ -155,7 +155,8 @@ def cmd_ham_build(args):
 def _load_ham_points(path: Path):
     """([(bond_length, QubitHamiltonian)], per-point files) from a single file or grid index.
 
-    The per-point files are the ones a grid index lists; a single file has none.
+    The per-point files are the ones a grid index lists; a single file has none. The
+    index's bond lengths must be the files' own, in order (UpstreamArtifactError).
     """
     doc = _read_json(path, "hamiltonian file")
     if doc.get("kind") != "hamiltonian-grid":
@@ -166,6 +167,10 @@ def _load_ham_points(path: Path):
         raise UpstreamArtifactError(f"grid index {path} lists no hamiltonian file names")
     files = [path.parent / name for name in names]
     hams = [_read_artifact(f, hamiltonian_from_json, "hamiltonian file") for f in files]
+    listed, held = doc.get("bond_lengths_angstrom"), [h.bond_length for h in hams]
+    if listed != held:  # also a missing list, or one that is not numbers
+        raise UpstreamArtifactError(f"grid index {path} lists bond lengths {listed!r}, "
+                                    f"but its files hold {held}")
     return [(h.bond_length, h) for h in hams], files
 
 

@@ -9,6 +9,7 @@ window is centered on a Newton step from the anchor angles (`first_step_delta`).
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ def energy_fn(circuit: Circuit, hamiltonian, initial: StateVector):
     hmat = _observable(hamiltonian, circuit.n_qubits)
     def cost(params):
         amp = apply_circuit(initial.amplitudes, circuit, params)
-        return float(np.real(np.vdot(amp, hmat @ amp)))
+        return float(np.vdot(amp, hmat @ amp).real)
     return cost
 
 
@@ -87,7 +88,9 @@ def minimize(cost, initial, config: OptimizerConfig | None = None) -> dict:
     test keeps a simplex that straddles a minimum with equal values from
     stopping: on a quadratic with unit curvature a value spread of tolerance
     corresponds to a distance of sqrt(tolerance). The simplex is one
-    (n + 1, n) array, stably sorted by value each iteration. Returns
+    (n + 1, n) array kept sorted by value: a full stable sort at the start and
+    after a shrink, otherwise each new vertex is inserted after the vertices
+    whose values tie with it, which is where a stable sort would put it. Returns
     {"params", "value", "evaluations", "iterations", "stop_reason"}.
     """
     config = config or OptimizerConfig()
@@ -105,42 +108,48 @@ def minimize(cost, initial, config: OptimizerConfig | None = None) -> dict:
         return v
 
     verts = np.vstack([x0, x0 + 0.1 * np.eye(n)])
-    values = np.array([f(v) for v in verts])
+    values = [f(v) for v in verts]
 
-    iterations, stop = 0, "budget"
+    iterations, stop, shrunk = 0, "budget", True
     while iterations < config.max_iterations:
-        order = np.argsort(values, kind="stable")
-        verts, values = verts[order], values[order]
+        if shrunk:  # at the start and after a shrink; otherwise insertion keeps the order
+            order = np.argsort(values, kind="stable")
+            verts, values, shrunk = verts[order], [values[k] for k in order], False
         if (values[-1] - values[0] < config.tolerance
                 and np.max(np.abs(verts - verts[0])) <= xtol):
             stop = "tolerance"
             break
         iterations += 1
-        centroid = np.mean(verts[:-1], axis=0)
+        # np.mean's own two operations, without its Python wrapper
+        centroid = np.add.reduce(verts[:-1], axis=0) / n
         xr = centroid + (centroid - verts[-1])
         fr = f(xr)
         if fr < values[0]:
             xe = centroid + 2.0 * (centroid - verts[-1])
             fe = f(xe)
-            verts[-1], values[-1] = (xe, fe) if fe < fr else (xr, fr)
+            x, fx = (xe, fe) if fe < fr else (xr, fr)
         elif fr < values[-2]:
-            verts[-1], values[-1] = xr, fr
+            x, fx = xr, fr
         else:
             if fr < values[-1]:  # outside contraction
-                xc = centroid + 0.5 * (xr - centroid)
-                fc = f(xc)
-                if fc <= fr:
-                    verts[-1], values[-1] = xc, fc
-                    continue
+                x = centroid + 0.5 * (xr - centroid)
+                fx = f(x)
+                accept = fx <= fr
             else:  # inside contraction
-                xc = centroid + 0.5 * (verts[-1] - centroid)
-                fc = f(xc)
-                if fc < values[-1]:
-                    verts[-1], values[-1] = xc, fc
-                    continue
-            # shrink toward the best vertex
-            verts[1:] = verts[0] + 0.5 * (verts[1:] - verts[0])
-            values[1:] = [f(v) for v in verts[1:]]
+                x = centroid + 0.5 * (verts[-1] - centroid)
+                fx = f(x)
+                accept = fx < values[-1]
+            if not accept:  # shrink toward the best vertex
+                verts[1:] = verts[0] + 0.5 * (verts[1:] - verts[0])
+                values[1:] = [f(v) for v in verts[1:]]
+                shrunk = True
+                continue
+        # the worst vertex leaves; x goes where a stable sort would put it, after its ties
+        k = bisect.bisect_right(values, fx, 0, n)
+        verts[k + 1:] = verts[k:-1]
+        verts[k] = x
+        values.pop()
+        values.insert(k, fx)
 
     best = int(np.argmin(values))
     return {"params": verts[best].copy(), "value": float(values[best]), "evaluations": evals,

@@ -298,6 +298,26 @@ class TestVqeRun:
         assert {k: v for k, v in after.items() if k != str(edited)} == \
             {k: v for k, v in before.items() if k != str(edited)}
 
+    @pytest.mark.parametrize("listed", [[5.0, 9.0], [0.8, 0.6], [0.6], None, ["0.6", "0.8"],
+                                        "0.6 0.8"],
+                             ids=["other_lengths", "reordered", "too_short", "missing",
+                                  "strings", "not_a_list"])
+    def test_grid_index_must_list_its_files_bond_lengths(self, tmp_path, capsys, listed):
+        grid = tmp_path / "grid"
+        run("ham", "build", "--grid", "0.6:0.8:2", "--out", grid)
+        index = json.loads((grid / "index.json").read_text())
+        assert index["bond_lengths_angstrom"] == [0.6, 0.8]
+        if listed is None:
+            del index["bond_lengths_angstrom"]
+        else:
+            index["bond_lengths_angstrom"] = listed
+        (grid / "index.json").write_text(json.dumps(index))
+        code = run("vqe", "run", "--ansatz", "uccsd", "--ham", grid / "index.json",
+                   "--out", tmp_path / "x.json")
+        assert code == EXIT_UPSTREAM
+        assert "bond lengths" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestQaeTrainCli:
     def test_budget_exhaustion_is_numerical_failure(self, tmp_path):

@@ -103,8 +103,16 @@ def _plateau_problem():
     return cost, np.zeros(3), OptimizerConfig(max_iterations=200, tolerance=1e-10)
 
 
+def _quantised_problem():
+    # a smooth cost rounded to 3 decimals: new vertices tie with kept ones, so where the
+    # sorted simplex puts a tied vertex matters, and contractions that tie shrink
+    cost = lambda x: float(np.round(np.sum((x - 0.7) ** 2) + 0.3 * x[0] * x[1], 3))
+    return cost, np.zeros(4), OptimizerConfig(max_iterations=300, tolerance=1e-10)
+
+
 class TestNelderMead:
-    @pytest.mark.parametrize("problem", [_su2_problem, _uccsd_problem, _plateau_problem])
+    @pytest.mark.parametrize("problem", [_su2_problem, _uccsd_problem, _plateau_problem,
+                                         _quantised_problem])
     def test_bitwise_equal_to_list_reference(self, problem):
         cost, x0, config = problem()
         ours = minimize(cost, x0, config)
@@ -115,6 +123,11 @@ class TestNelderMead:
         if problem is _plateau_problem:
             # n + 1 start vertices, then 1 or 2 evaluations per iteration unless it shrinks
             assert ours["evaluations"] - x0.size - 1 > 2 * ours["iterations"]
+        if problem is _quantised_problem:
+            values = []
+            minimize(lambda x: values.append(cost(x)) or values[-1], x0, config)
+            assert len(set(values)) < len(values) / 2  # most values tie with an earlier one
+            assert ours["evaluations"] - x0.size - 1 > 2 * ours["iterations"]  # it shrank
 
     def test_stop_reasons(self):
         cost = lambda x: (x[0] - 3.0) ** 2

@@ -87,6 +87,22 @@ def test_cnot_x_runs_are_exact(seed):
         assert np.array_equal(step.matrix @ amp, apply_gates(amp, gates, np.zeros(0), n))
         # the transpose undoes the run, as the backward walk needs
         assert np.array_equal(step.matrix.T @ (step.matrix @ amp), amp)
+    # the plan gathers rows instead of multiplying: the same bytes, signed zeros too
+    for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 3), zero_state(n).amplitudes):
+        assert (apply_circuit(amp, circuit, np.zeros(0)).tobytes()
+                == (step.matrix @ amp).tobytes())
+        assert (step.backward(amp, None, step.op, None, None, None).tobytes()
+                == (step.matrix.conj().T @ amp).tobytes())
+    # with an H or a constant U1 in the run, the plan multiplies by the dense matrix
+    for extra in (Gate("H", (1,)), Gate("U1", (2,), (Param.const(0.3),))):
+        mixed = Circuit(n, (*gates, extra, *gates), 0)
+        (step,) = compile_plan(mixed).steps
+        assert step.op is step.matrix
+        for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 3)):
+            assert (apply_circuit(amp, mixed, np.zeros(0)).tobytes()
+                    == (step.matrix @ amp).tobytes())
+            assert (step.backward(amp, None, step.op, None, None, None).tobytes()
+                    == (step.matrix.conj().T @ amp).tobytes())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
