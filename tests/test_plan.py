@@ -87,7 +87,7 @@ def test_cnot_x_runs_are_exact(seed):
         assert np.array_equal(step.matrix @ amp, apply_gates(amp, gates, np.zeros(0), n))
         # the transpose undoes the run, as the backward walk needs
         assert np.array_equal(step.matrix.T @ (step.matrix @ amp), amp)
-    # the plan gathers rows instead of multiplying: the same bytes, signed zeros too
+    # the plan gathers rows instead of multiplying: the same bytes, zero amplitudes included
     for amp in (random_amplitudes(rng, n), random_amplitudes(rng, n, 3), zero_state(n).amplitudes):
         assert (apply_circuit(amp, circuit, np.zeros(0)).tobytes()
                 == (step.matrix @ amp).tobytes())
