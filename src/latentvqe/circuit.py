@@ -217,6 +217,9 @@ class LayerStep:
         gate = np.arange(len(qubits))[:, None, None]
         self.index = 4 * gate + 2 * bits[:, :, None] + bits[:, None, :]
         self.entry_index = row + np.arange(len(qubits))[:, None] + n_rows * np.arange(4)
+        # bins of a bincount over a complex array's float view: entry k's re at 2k, im at 2k + 1
+        self.env_index = (2 * self.index.reshape(-1, 1) + np.arange(2)).ravel()
+        self.ones = np.ones((1, 1 << n, 1 << n), complex if kind == "U3" else float)
         others = sum(1 << q for q in range(n) if q not in qubits)
         self.mask = ((idx[:, None] ^ idx[None, :]) & others) == 0 if others else None
 
@@ -228,10 +231,10 @@ class LayerStep:
 
         `pre` is the state before the layer and `lam` the adjoint state after
         it. For each angle a of the layer, dangles[k] gets
-        Re sum_b lam_b^dag (dU/da) pre_b. A rotation layer contracts
+        Re sum_b lam_b^dag (dU/da) pre_b, in place. A rotation layer contracts
         C = conj(lam) pre^T with the product of the other gates' factors into a
-        2x2 environment per gate, so every angle of the layer takes one
-        Re <env, dU/da> at once.
+        2x2 environment per gate (one bincount), so every angle of the layer
+        takes one Re <env, dU/da> at once.
         """
         if self.kind == "phase":
             # d phase / d a_k = i W[:, k] phase, and Re(i z) = -Im z
@@ -244,18 +247,16 @@ class LayerStep:
         lam_conj = lam.conj()
         entries, dtheta = (table[self.entry_index] for table in tables[self.kind])
         factors = entries.reshape(-1)[self.index]
-        ones = np.ones_like(factors[:1])
-        before = np.concatenate([ones, np.cumprod(factors[:-1], axis=0)])
-        after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], ones])
-        weighted = self._masked(before * after * (lam_conj @ pre.T)).ravel()
-        index, size = self.index.ravel(), entries.size
-        env = (np.bincount(index, weighted.real, size)
-               + 1j * np.bincount(index, weighted.imag, size)).reshape(entries.shape)
-        grads = np.real(np.sum(env * dtheta, axis=1))[:, None]
+        before = np.concatenate([self.ones, np.cumprod(factors[:-1], axis=0)])
+        after = np.concatenate([np.cumprod(factors[:0:-1], axis=0)[::-1], self.ones])
+        weighted = self._masked(before * after * (lam_conj @ pre.T))
+        env = np.bincount(self.env_index, weighted.view(float).ravel(), 2 * entries.size)
+        env = env.view(complex).reshape(entries.shape)
+        rows = dangles[self.lo:self.hi].reshape(len(self.gates), -1)  # a view: (G, 1 or 3)
+        rows[:, 0] = np.sum(env * dtheta, axis=1).real
         if self.kind == "U3":
             # d/dphi and d/dlambda multiply the entries by i where _U3_PHASES has a 1
-            grads = np.hstack([grads, -((env * entries) @ _U3_PHASES.T).imag])
-        dangles[self.lo:self.hi] = grads.ravel()
+            rows[:, 1:] = -((env * entries) @ _U3_PHASES.T).imag
         # not `op`: the scalar cumprod loop and the vector multiply of the forward
         # product round differently, and the adjoint keeps its own product's bytes
         kron = self._masked(before[-1] * factors[-1])
@@ -306,7 +307,8 @@ class Plan:
         for layer, s in enumerate(phases):
             s.layer = layer
             widths.setdefault(len(s.gates), []).append(s)
-        self._exponents_shape = (len(phases), 1 << n, 1)
+        # per kind, its layers' operators: the buffers that every `operators` call rewrites
+        self._exponents, self._buffers = np.empty((len(phases), 1 << n, 1)), {}
         # per width: rows, (layers, 2^n, width) weights, each layer's column-major as
         # `weights` is (so numpy makes the same BLAS call as for one layer), angle index
         self._phase_groups = [
@@ -328,6 +330,10 @@ class Plan:
                 for g, t in enumerate(theta):
                     phase_weights[t + 1:t + 3, g:4 * size:size] = _U3_PHASES
             self._rotations[kind] = (theta, phase_weights, index, mask)
+            self._buffers[kind] = np.empty(index[:, 0].shape, complex if kind == "U3" else float)
+        self._buffers["phase"] = np.empty(self._exponents.shape[:2], complex)
+        self._operators = tuple(self._buffers[s.kind][s.layer] if isinstance(s, LayerStep)
+                                else s.op for s in steps)
         # every free gate's angle positions in step order; a constant one reads 0 * params[0]
         self._slots = np.array([p.slot or 0 for p in table], dtype=int)
         self._coeffs = np.array([p.coeff if p.slot is not None else 0.0 for p in table])
@@ -363,25 +369,23 @@ class Plan:
             tables[kind] = (entries, dtheta)
         return tables
 
-    def operators(self, angles: np.ndarray, tables: dict) -> list:
+    def operators(self, angles: np.ndarray, tables: dict) -> tuple:
         """One operator per step: a 2^n x 2^n matrix for a rotation or dense constant
         step, a row-gather index for a permutation step, a 2^n phase vector for a
-        phase step. Per rotation kind one gather and one product build the Kronecker
-        products of all its layers. The phase layers of one width share one stacked
-        weights @ angles product, each layer's the same matrix-vector product it is
-        alone, and all phase layers share one exp."""
-        stacks = {}
+        phase step; a layer's is a row of a buffer that the next call rewrites. Per
+        rotation kind one gather and one product build all its layers' Kronecker
+        products. The phase layers of one width share one stacked weights @ angles
+        product (each layer's as it is alone), and all phase layers share one exp."""
         for kind, (entries, _) in tables.items():
             _, _, index, mask = self._rotations[kind]
-            kron = entries[index].prod(axis=1)
-            stacks[kind] = kron if mask is None else kron * mask
+            kron = entries[index].prod(axis=1, out=self._buffers[kind])
+            if mask is not None:
+                np.multiply(kron, mask, out=kron)
         if self._phase_groups:
-            exponents = np.empty(self._exponents_shape)
             for rows, weights, index in self._phase_groups:
-                np.matmul(weights, angles[index], out=exponents[rows])
-            stacks["phase"] = np.exp(1j * exponents[..., 0])
-        return [stacks[step.kind][step.layer] if isinstance(step, LayerStep) else step.op
-                for step in self.steps]
+                np.matmul(weights, angles[index], out=self._exponents[rows])
+            np.exp(1j * self._exponents[..., 0], out=self._buffers["phase"])
+        return self._operators
 
     def apply(self, amp: np.ndarray, params) -> np.ndarray:
         """Run every step on a vector or (2^n, batch) stack."""
@@ -395,14 +399,16 @@ class Plan:
                 amp = amp[op]
         return amp
 
-    def gradient(self, amp: np.ndarray, params, observable: np.ndarray) -> np.ndarray:
-        """d/dparams of sum_b <psi_b|O|psi_b>, psi = this plan run on the (2^n, batch) stack amp.
+    def gradient(self, amp: np.ndarray, params, observable: np.ndarray) -> tuple:
+        """(Re <psi_b|O|psi_b> per column b, d/dparams of their sum) for psi = this plan
+        run on the complex (2^n, batch) stack amp.
 
         Adjoint differentiation: the forward pass keeps the state before each
         step; the backward pass starts from lam = O psi and maps it back
         through each step (lam <- U^dag lam), which adds
         2 Re lam^dag (dU/da) pre for every angle a of the step. Both passes
         read one operator build; its tables also hold the theta derivatives.
+        The energies reuse psi and lam = O psi (`batched_energies`' bytes).
         Each angle then reaches its slot with its coefficient (chain rule), so
         shared slots, coefficients and offsets need no special case.
         """
@@ -414,13 +420,14 @@ class Plan:
             pre = states[-1]
             states.append(op[:, None] * pre if step.kind == "phase"
                           else op @ pre if op.ndim == 2 else pre[op])
-        lam = observable @ states.pop()
+        psi = states.pop()
+        lam = observable @ psi
+        energies = np.real(np.einsum("ib,ib->b", psi.conj(), lam))
         dangles = np.zeros_like(angles)
         for step, op, pre in zip(reversed(self.steps), reversed(ops), reversed(states)):
             lam = step.backward(lam, pre, op, angles, dangles, tables)
-        grad = np.zeros(self.n_params)
-        np.add.at(grad, self._slots, 2.0 * self._coeffs * dangles)
-        return grad
+        # bincount adds in index order from 0.0, as np.add.at would
+        return energies, np.bincount(self._slots, 2.0 * self._coeffs * dangles, self.n_params)
 
 
 @lru_cache(maxsize=128)

@@ -197,18 +197,20 @@ def _free_gate_walk(circuit: Circuit, hmat, params: np.ndarray, amp0):
         yield ops[k], pre, conjugated.pop(k)
 
 
-def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> np.ndarray:
-    """Gradient of the column-averaged energy; columns of amp0_cols are input states.
+def batched_shift_gradient(circuit, hmat, params, amp0_cols) -> tuple[float, np.ndarray]:
+    """(column-averaged energy, its gradient); columns of amp0_cols are input states.
 
     Computed by adjoint differentiation on the circuit's compiled plan
     (`Plan.gradient`): one forward and one backward pass, whatever the
-    number of angles. In exact arithmetic this is the parameter-shift
-    gradient: every free angle a of U3, U1, RY and RZ enters its gate through
-    one factor exp(-i a P/2) with P a Pauli, up to a global phase, so
-    dE/da = 1/2 [E(a + pi/2) - E(a - pi/2)]. Non-finite angles raise
-    ValueError.
+    number of angles; the energy, from the forward pass, has the bytes of
+    np.mean(batched_energies(apply_circuit(amp0_cols, ...), hmat)). In exact
+    arithmetic the gradient is the parameter-shift gradient: every free angle
+    a of U3, U1, RY and RZ enters its gate through one factor exp(-i a P/2)
+    with P a Pauli, up to a global phase, so dE/da = 1/2 [E(a + pi/2) -
+    E(a - pi/2)]. Non-finite angles raise ValueError.
     """
-    return circuit.plan.gradient(amp0_cols, params, hmat) / amp0_cols.shape[1]
+    energies, grad = circuit.plan.gradient(amp0_cols, params, hmat)
+    return float(np.mean(energies)), grad / amp0_cols.shape[1]
 
 
 def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_state: StateVector):
@@ -220,38 +222,38 @@ def parameter_shift_gradient(circuit: Circuit, hamiltonian, params, initial_stat
     """
     hmat = _observable(hamiltonian, circuit.n_qubits)
     amp0 = initial_state.amplitudes.reshape(-1, 1)
-    return batched_shift_gradient(circuit, hmat, params, amp0)
+    return batched_shift_gradient(circuit, hmat, params, amp0)[1]
 
 
-def adam_minimize(cost, grad, x0, config: OptimizerConfig, stop_below=None) -> dict:
-    """Adam (step 0.1) on an explicit gradient, tracking the best value seen.
+def adam_minimize(fun, x0, config: OptimizerConfig, stop_below=None) -> dict:
+    """Adam (step 0.1) on fun(x) -> (value, gradient), tracking the best value seen.
 
-    Stops early when the gradient infinity-norm drops below config.tolerance
-    or (if given) the cost falls below `stop_below`.
+    One call of `fun` per step gives the value at the new point and the next
+    step's gradient. Stops after config.max_iterations steps, or once the best
+    value is below `stop_below` (if given) or the gradient that the step used
+    is below config.tolerance in every component. "evaluations" = 1 + steps.
     """
     x = np.asarray(x0, dtype=float).copy()
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
+    m, v = np.zeros_like(x), np.zeros_like(x)
     step, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
-    best_x, best_f = x.copy(), float(cost(x))
+    value, g = fun(x)
+    best_x, best_f = x.copy(), float(value)
     evals = 1
     for t in range(1, config.max_iterations + 1):
-        g = grad(x)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         mhat = m / (1 - beta1**t)
         vhat = v / (1 - beta2**t)
         x = x - step * mhat / (np.sqrt(vhat) + eps)
-        fx = float(cost(x))
+        value, g_next = fun(x)
         evals += 1
-        if not math.isfinite(fx):
+        if not math.isfinite(value):
             raise NumericalError("non-finite cost value encountered")
-        if fx < best_f:
-            best_f, best_x = fx, x.copy()
-        if stop_below is not None and best_f < stop_below:
+        if value < best_f:
+            best_f, best_x = float(value), x.copy()
+        if (stop_below is not None and best_f < stop_below) or np.max(np.abs(g)) < config.tolerance:
             break
-        if np.max(np.abs(g)) < config.tolerance:
-            break
+        g = g_next
     return {"params": best_x, "value": best_f, "evaluations": evals}
 
 
@@ -481,7 +483,7 @@ def first_step_delta(circuit: Circuit, hamiltonian, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     hmat = _observable(hamiltonian, circuit.n_qubits)
     amp0 = zero_state(circuit.n_qubits).amplitudes.reshape(-1, 1)
-    grad = lambda x: batched_shift_gradient(circuit, hmat, x, amp0)
+    grad = lambda x: batched_shift_gradient(circuit, hmat, x, amp0)[1]
     h = 1e-4
     hess = np.column_stack([
         (grad(params + h * e) - grad(params - h * e)) / (2.0 * h) for e in np.eye(params.size)

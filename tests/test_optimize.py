@@ -241,25 +241,89 @@ class TestParameterShift:
         assert g[0] == pytest.approx(fd, abs=1e-8)
 
 
+def reference_adam(cost, grad, x0, config, stop_below=None):
+    """Adam with a separate cost and gradient call per step: `adam_minimize`'s reference."""
+    x = np.asarray(x0, dtype=float).copy()
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    step, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
+    best_x, best_f = x.copy(), float(cost(x))
+    evals = 1
+    for t in range(1, config.max_iterations + 1):
+        g = grad(x)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        x = x - step * mhat / (np.sqrt(vhat) + eps)
+        fx = float(cost(x))
+        evals += 1
+        if fx < best_f:
+            best_f, best_x = fx, x.copy()
+        if stop_below is not None and best_f < stop_below:
+            break
+        if np.max(np.abs(g)) < config.tolerance:
+            break
+    return {"params": best_x, "value": best_f, "evaluations": evals}
+
+
+def _bowl_tolerance_problem():
+    cost = lambda x: float((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2)
+    grad = lambda x: np.array([2 * (x[0] - 1.0), 2 * (x[1] + 0.5)])
+    return (cost, grad, lambda x: (cost(x), grad(x)), np.zeros(2),
+            OptimizerConfig(max_iterations=2000, tolerance=1e-3), None, "tolerance")
+
+
+def _qae_problem(max_iterations, stop_below, stop):
+    from latentvqe.qae import (
+        DEFAULT_TRAINING_BOND_LENGTHS, ENCODER, _batched_trash_cost_fn, _trash_objective,
+        training_states_for,
+    )
+    states = training_states_for(DEFAULT_TRAINING_BOND_LENGTHS)
+    cost, grad = _batched_trash_cost_fn(ENCODER, states)
+    x0 = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, ENCODER.n_params)
+    return (cost, grad, _trash_objective(ENCODER, states), x0,
+            OptimizerConfig(max_iterations=max_iterations, tolerance=1e-13), stop_below, stop)
+
+
 class TestAdam:
     def test_converges_on_smooth_bowl(self):
-        cost = lambda x: float((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2)
-        grad = lambda x: np.array([2 * (x[0] - 1.0), 2 * (x[1] + 0.5)])
-        res = adam_minimize(cost, grad, np.zeros(2),
+        fun = lambda x: (float((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2),
+                         np.array([2 * (x[0] - 1.0), 2 * (x[1] + 0.5)]))
+        res = adam_minimize(fun, np.zeros(2),
                             OptimizerConfig(max_iterations=2000, tolerance=1e-12))
         assert res["value"] < 1e-10
 
     def test_best_so_far_trace_monotone(self):
         seen = []
         cost = lambda x: float((x[0] - 1.0) ** 2)
-        def tracking_cost(x):
+        def tracking_fun(x):
             v = cost(x)
             seen.append(v)
-            return v
-        adam_minimize(tracking_cost, lambda x: np.array([2 * (x[0] - 1.0)]), np.zeros(1),
+            return v, np.array([2 * (x[0] - 1.0)])
+        adam_minimize(tracking_fun, np.zeros(1),
                       OptimizerConfig(max_iterations=200, tolerance=1e-14))
         best = np.minimum.accumulate(seen)
         assert np.all(np.diff(best) <= 0)
+
+    @pytest.mark.parametrize("problem", [
+        _bowl_tolerance_problem,
+        lambda: _qae_problem(1200, 1e-3, "stop_below"),
+        lambda: _qae_problem(30, None, "budget"),
+    ], ids=["tolerance", "stop_below", "budget"])
+    def test_bitwise_equal_to_two_callable_reference(self, problem):
+        # one fun(x) -> (value, gradient) call per step against a cost and a gradient call
+        cost, grad, fun, x0, config, stop_below, stop = problem()
+        ours = adam_minimize(fun, x0, config, stop_below=stop_below)
+        ref = reference_adam(cost, grad, x0, config, stop_below=stop_below)
+        assert ours["params"].tobytes() == ref["params"].tobytes()
+        assert ours["value"] == ref["value"]
+        assert ours["evaluations"] == ref["evaluations"]
+        # the problem stops the way it is named for
+        at_budget = ours["evaluations"] == config.max_iterations + 1
+        below = stop_below is not None and ours["value"] < stop_below
+        assert {"tolerance": not at_budget and not below, "stop_below": below,
+                "budget": at_budget and not below}[stop]
 
 
 class TestStaged:

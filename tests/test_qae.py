@@ -7,8 +7,8 @@ from latentvqe.circuit import Circuit, resource_counts, simulate
 from latentvqe.hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from latentvqe.optimize import OptimizerConfig, adam_minimize
 from latentvqe.qae import (
-    LATENT_PQC, QaeModel, QaeTrainingError, _batched_trash_cost_fn, _trash_empty,
-    decoder_circuit, latent_vqe_circuit, qae_from_json, qae_to_dict, reconstruct, train_qae,
+    DEFAULT_TRAINING_BOND_LENGTHS, ENCODER, LATENT_PQC, QaeModel, QaeTrainingError,
+    _batched_trash_cost_fn, _trash_empty, _trash_objective, decoder_circuit, latent_vqe_circuit, qae_from_json, qae_to_dict, reconstruct, train_qae,
     training_states_for, trash_cost,
 )
 from latentvqe.statevector import (
@@ -49,6 +49,18 @@ class TestTrashCost:
         p = rng.uniform(0, 2 * np.pi, enc.n_params)
         assert cost(p) == pytest.approx(trash_cost(enc, p, states), abs=1e-12)
 
+    def test_fused_objective_is_bitwise_equal_to_cost_and_grad(self):
+        # the cost from the gradient's forward pass against a separate run of the plan
+        states = training_states_for(DEFAULT_TRAINING_BOND_LENGTHS)
+        fun = _trash_objective(ENCODER, states)
+        cost, grad = _batched_trash_cost_fn(ENCODER, states)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            p = rng.uniform(-2 * np.pi, 2 * np.pi, ENCODER.n_params)
+            value, gradient = fun(p)
+            assert isinstance(value, float) and value.hex() == cost(p).hex()
+            assert gradient.tobytes() == grad(p).tobytes()
+
     def test_projector_from_mask_is_the_pauli_sum(self):
         # |00><00| on qubits 2, 3 is prod_t (I + Z_t) / 2
         terms = [PauliString(ops, 0.25) for ops in ("IIII", "IIZI", "IIIZ", "IIZZ")]
@@ -58,9 +70,9 @@ class TestTrashCost:
     def test_single_state_compresses_to_machine_precision(self):
         rng = np.random.default_rng(9)
         enc = qae_encoder(4, 2)
-        cost, grad = _batched_trash_cost_fn(enc, [random_4q_state(rng)])
+        fun = _trash_objective(enc, [random_4q_state(rng)])
         res = adam_minimize(
-            cost, grad, rng.uniform(0, 2 * np.pi, enc.n_params),
+            fun, rng.uniform(0, 2 * np.pi, enc.n_params),
             OptimizerConfig(max_iterations=800, tolerance=1e-16),
             stop_below=1e-13,
         )
