@@ -5,8 +5,8 @@ molecular orbitals (no SCF loop needed for minimal-basis H2) -> second
 quantization over 4 spin orbitals -> Jordan-Wigner Pauli strings. The
 exact-diagonalization oracle runs cyclic Jacobi rotations on the dense
 16x16 matrix. What does not depend on the bond length (the STO-3G primitive
-constants, the Jordan-Wigner map as a gather table) is built once per
-process, on first use.
+constants, the classes of bit-equal Boys arguments, the Jordan-Wigner map as
+a gather table) is built once per process, on first use.
 
 Spin-orbital / qubit ordering (blocked spin): qubit 0 = sigma_g up,
 qubit 1 = sigma_u up, qubit 2 = sigma_g down, qubit 3 = sigma_u down.
@@ -60,22 +60,9 @@ class JacobiConvergenceError(RuntimeError):
     """Cyclic Jacobi failed to reach the off-diagonal tolerance."""
 
 
-def _boys_f0(x: np.ndarray) -> np.ndarray:
-    """F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)) elementwise; 1 - x/3 below 1e-12 avoids 0/0.
-
-    math.erf runs once per distinct argument. Every other step is one IEEE
-    operation in the scalar formula's association, so each value is bit-identical to it.
-    """
-    small = x < 1e-12
-    u, inv = np.unique(x, return_inverse=True)
-    erf = np.array([math.erf(math.sqrt(v)) for v in u.tolist()])[inv].reshape(x.shape)
-    return np.where(small, 1.0 - x / 3.0, 0.5 * np.sqrt(np.pi / np.where(small, 1.0, x)) * erf)
-
-
-def _square(d: np.ndarray) -> np.ndarray:
-    """Python's d ** 2 (libm pow, not always d * d to the bit), once per distinct value."""
-    u, inv = np.unique(d, return_inverse=True)
-    return np.array([v ** 2 for v in u.tolist()])[inv].reshape(d.shape)
+def _boys_f0(x: float) -> float:
+    """F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)); 1 - x/3 below 1e-12 avoids 0/0."""
+    return 1.0 - x / 3.0 if x < 1e-12 else 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
 
 
 def _prim_norm(alpha: float) -> float:
@@ -116,6 +103,35 @@ def _sto3g_table() -> dict:
     return dict(zip(names, pairs.T), k=quartets[..., 0], rho=quartets[..., 1])
 
 
+@functools.cache
+def _boys_classes() -> dict:
+    """The Boys arguments of a build in classes of bit-equal members, built on first use.
+
+    An argument is scale * (z[left] - z[right]) ** 2, z = (P per centre pair u and
+    primitive pair m at 9 u + m, as in `centre`, nucleus 0, nucleus r). Swapping
+    (i, A) <-> (j, B) within a pair keeps P and p to the bit (IEEE + and * commute);
+    swapping pair AB <-> CD keeps rho and negates P - Q, and (-d) ** 2 == d ** 2.
+    So each of the 42 nuclear and 231 ERI classes is computed once, at its first
+    member; "nuclear" (9, 2, 4) and "eri" (9, 9, 4, 4) give each argument's class.
+    """
+    t = _sto3g_table()
+    u, m = np.divmod(np.arange(36), 9)
+    half = np.minimum(9 * u + m, 9 * (u % 2 * 2 + u // 2) + m % 3 * 3 + m // 3)
+    m, c, u = np.indices((9, 2, 4)).reshape(3, -1)
+    m1, m2, u1, u2 = np.indices((9, 9, 4, 4)).reshape(4, -1)
+    left = np.concatenate((9 * u + m, 9 * u1 + m1))
+    right = np.concatenate((36 + c, 9 * u2 + m2))
+    ab, cd = half[left[72:]], half[right[72:]]
+    keys = np.concatenate((2 * half[left[:72]] + c,
+                           72 + 36 * np.minimum(ab, cd) + np.maximum(ab, cd)))
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    out = dict(left=left[first], right=right[first], nuclear=cls[:72].reshape(9, 2, 4),
+               eri=cls[72:].reshape(9, 9, 4, 4))
+    for arr in out.values():
+        arr.flags.writeable = False
+    return dict(out, scale=tuple(np.concatenate((t["p"][m], t["rho"][m1, m2]))[first].tolist()))
+
+
 def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
     """Contracted STO-3G integrals for H2, transformed to the g/u MO basis."""
     if not 0.2 <= bond_length <= 5.0:
@@ -137,16 +153,18 @@ def sto3g_integrals(bond_length: float) -> MolecularIntegrals:
     # both nuclei with Z = 1. Sums along axis 0 add row after row, in loop order.
     kinetic = (t["ccmu"][:, None] * (3.0 - 2.0 * t["mu"][:, None] * r2)
                * (t["s0"][:, None] * gauss.T))
-    boys = _boys_f0(t["p"][:, None, None] * _square(centre.T[:, None, :] - np.array([[0.0], [r]])))
-    nuclear = (t["cc2pi"][:, None] * gauss.T)[:, None, :] * boys
+    # Boys F0 once per class of bit-equal arguments (_boys_classes), then gathered.
+    c = _boys_classes()
+    z = np.concatenate((centre.ravel(), (0.0, r)))
+    d = (z[c["left"]] - z[c["right"]]).tolist()
+    f0 = np.array([_boys_f0(s * v ** 2) for s, v in zip(c["scale"], d)])
+    nuclear = (t["cc2pi"][:, None] * gauss.T)[:, None, :] * f0[c["nuclear"]]
     h_ao = (kinetic.sum(axis=0) + (-nuclear).reshape(18, 4).sum(axis=0)).reshape(2, 2)
 
     # Two-electron terms, (pair AB, pair CD, centre pair AB, centre pair CD) flattened
     # to (81, 16): ((k kab) kcd) F0(rho (P - Q)^2), summed over quartets in loop order.
     coef = t["k"][:, :, None, None] * gauss.T[:, None, :, None] * gauss.T[None, :, None, :]
-    dpq = centre.T[:, None, :, None] - centre.T[None, :, None, :]
-    boys = _boys_f0(t["rho"][:, :, None, None] * _square(dpq))
-    g_ao = (coef * boys).reshape(81, 16).sum(axis=0).reshape(2, 2, 2, 2)
+    g_ao = (coef * f0[c["eri"]]).reshape(81, 16).sum(axis=0).reshape(2, 2, 2, 2)
 
     # Symmetry MOs: sigma_g = (1 + 2)/sqrt(2(1+S)), sigma_u = (1 - 2)/sqrt(2(1-S)).
     cg = 1.0 / math.sqrt(2.0 * (1.0 + s12))

@@ -230,8 +230,8 @@ def adam_minimize(fun, x0, config: OptimizerConfig, stop_below=None) -> dict:
 
     One call of `fun` per step gives the value at the new point and the next
     step's gradient. Stops after config.max_iterations steps, or once the best
-    value is below `stop_below` (if given) or the gradient that the step used
-    is below config.tolerance in every component. "evaluations" = 1 + steps.
+    value is below `stop_below` (if given) or the gradient at the new point is
+    below config.tolerance in every component. "evaluations" = 1 + steps.
     """
     x = np.asarray(x0, dtype=float).copy()
     m, v = np.zeros_like(x), np.zeros_like(x)
@@ -245,7 +245,7 @@ def adam_minimize(fun, x0, config: OptimizerConfig, stop_below=None) -> dict:
         mhat = m / (1 - beta1**t)
         vhat = v / (1 - beta2**t)
         x = x - step * mhat / (np.sqrt(vhat) + eps)
-        value, g_next = fun(x)
+        value, g = fun(x)
         evals += 1
         if not math.isfinite(value):
             raise NumericalError("non-finite cost value encountered")
@@ -253,7 +253,6 @@ def adam_minimize(fun, x0, config: OptimizerConfig, stop_below=None) -> dict:
             best_f, best_x = float(value), x.copy()
         if (stop_below is not None and best_f < stop_below) or np.max(np.abs(g)) < config.tolerance:
             break
-        g = g_next
     return {"params": best_x, "value": best_f, "evaluations": evals}
 
 

@@ -7,6 +7,7 @@ values are exact contractions (no sampling).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,9 +48,9 @@ class PauliString:
     coefficient: float = 1.0
 
     def __post_init__(self):
-        if any(c not in _PAULI_CHARS for c in self.ops):
+        if self.ops.strip(_PAULI_CHARS):
             raise ValueError(f"invalid Pauli characters in {self.ops!r}")
-        if not np.isfinite(self.coefficient):
+        if not math.isfinite(self.coefficient):
             raise ValueError("Pauli coefficient must be finite")
 
     @property
@@ -135,15 +136,43 @@ def partial_trace(state: StateVector, keep) -> np.ndarray:
     return mat @ mat.conj().T
 
 
+@lru_cache(maxsize=256)
+def _sum_table(strings: tuple[str, ...], n_qubits: int):
+    """(entries, term, phase): how `pauli_sum_matrix` sums terms on `strings`.
+
+    For each flat entry row * 2^n + column that a string reaches, ascending, a
+    column of the read-only (depth, entries) tables lists the term index and
+    phase of each contribution in term order, then padding (term 0, phase 0).
+    Summing the rows one after another from 0 adds what a term-by-term scatter
+    adds, bit for bit. Memoized, so Hamiltonians on the same strings share it.
+    """
+    if any(len(ops) != n_qubits for ops in strings):
+        raise ValueError("Pauli string length does not match qubit count")
+    dim = 1 << n_qubits
+    cells: dict[int, list] = {}
+    for k, ops in enumerate(strings):
+        idx, flipped, phase = _pauli_action(ops, dim)
+        for e, ph in zip((flipped * dim + idx).tolist(), phase.tolist()):
+            cells.setdefault(e, []).append((k, ph))
+    entries = np.array(sorted(cells), dtype=np.intp)
+    shape = (max(map(len, cells.values()), default=0), entries.size)
+    term, phase = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=complex)
+    for j, e in enumerate(entries.tolist()):
+        for i, (k, ph) in enumerate(cells[e]):
+            term[i, j], phase[i, j] = k, ph
+    entries.flags.writeable = term.flags.writeable = phase.flags.writeable = False
+    return entries, term, phase
+
+
 def pauli_sum_matrix(terms, n_qubits: int) -> np.ndarray:
     """Dense matrix of a weighted Pauli sum: term c P adds c phase at (flipped, idx).
 
-    (idx, flipped, phase) are those of `_pauli_action`, which `apply_pauli` uses.
+    (idx, flipped, phase) are those of `_pauli_action`, which `apply_pauli`
+    uses; `_sum_table` orders the additions.
     """
+    terms = tuple(terms)
+    entries, term, phase = _sum_table(tuple(t.ops for t in terms), n_qubits)
     out = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
-    for term in terms:
-        if term.n_qubits != n_qubits:
-            raise ValueError("Pauli string length does not match qubit count")
-        idx, flipped, phase = _pauli_action(term.ops, 1 << n_qubits)
-        out[flipped, idx] += term.coefficient * phase
+    out.ravel()[entries] = (np.array([t.coefficient for t in terms], dtype=float)[term]
+                            * phase).sum(axis=0, initial=0)
     return out

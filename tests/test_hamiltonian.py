@@ -11,7 +11,7 @@ from latentvqe import hamiltonian
 from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
     _STO3G_COEFFS, _STO3G_EXPONENTS, ANGSTROM_TO_BOHR, COEFF_PRUNE_TOL, JacobiConvergenceError,
-    QubitHamiltonian, _ladder, _op_product, _prim_norm, _transform_eri,
+    QubitHamiltonian, _boys_classes, _ladder, _op_product, _prim_norm, _transform_eri,
     build_qubit_hamiltonian, exact_ground_energy, hamiltonian_for_distance,
     hamiltonian_from_json, hamiltonian_to_dict, jacobi_eigh, sto3g_integrals,
 )
@@ -234,6 +234,60 @@ class TestAgainstReferenceBuild:
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
+
+
+def boys_arguments(bond_length: float):
+    """Straight-line Boys arguments: nuclear (9, 2, 4) and ERI (9, 9, 4, 4), and the points z.
+
+    Axes are (primitive pair i j, nucleus, centre pair A B) and (pair, pair,
+    centre pair, centre pair), in the loop order of `reference_integrals`;
+    z lists P per (centre pair, primitive pair), then both nuclei.
+    """
+    r = bond_length * ANGSTROM_TO_BOHR
+    exps, centers = _STO3G_EXPONENTS, (0.0, r)
+    prims = [(ai, aj, ai + aj) for ai in exps for aj in exps]
+    ab = [(A, B) for A in centers for B in centers]
+    P = [[(ai * A + aj * B) / p for A, B in ab] for ai, aj, p in prims]
+    nuclear = np.array([[[p * (P[m][u] - C) ** 2 for u in range(4)] for C in centers]
+                        for m, (_, _, p) in enumerate(prims)])
+    eri = np.array([[[[p * q / (p + q) * (P[m][u] - P[n][v]) ** 2 for v in range(4)]
+                      for u in range(4)] for n, (_, _, q) in enumerate(prims)]
+                    for m, (_, _, p) in enumerate(prims)])
+    z = np.array([P[m][u] for u in range(4) for m in range(9)] + list(centers))
+    return nuclear, eri, z
+
+
+def assert_boys_classes_bit_equal(bond_length: float):
+    c = _boys_classes()
+    nuclear, eri, z = boys_arguments(bond_length)
+    args = np.concatenate((nuclear.ravel(), eri.ravel()))
+    classes = np.concatenate((c["nuclear"].ravel(), c["eri"].ravel()))
+    first = np.unique(classes, return_index=True)[1]
+    # every member is bit-equal to its class's first member ...
+    assert args[first][classes].tobytes() == args.tobytes()
+    # ... which is the argument the build computes for the class
+    d = (z[c["left"]] - z[c["right"]]).tolist()
+    built = np.array([s * v ** 2 for s, v in zip(c["scale"], d)])
+    assert built.tobytes() == args[first].tobytes()
+
+
+class TestBoysClasses:
+    def test_class_counts_and_read_only(self):
+        c = _boys_classes()
+        assert len(np.unique(c["nuclear"])) == 42
+        assert len(np.unique(c["eri"])) == 231
+        assert len(c["scale"]) == len(c["left"]) == len(c["right"]) == 42 + 231
+        assert isinstance(c["scale"], tuple)
+        assert all(not c[k].flags.writeable for k in ("left", "right", "nuclear", "eri"))
+
+    def test_members_bit_equal_on_acceptance_grid(self):
+        for r in np.linspace(0.3, 2.85, 100):
+            assert_boys_classes_bit_equal(float(r))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.2, 5.0))
+    def test_members_bit_equal_on_random_bond_lengths(self, r):
+        assert_boys_classes_bit_equal(r)
 
 
 class TestIntegrals:

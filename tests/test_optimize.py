@@ -262,7 +262,7 @@ def reference_adam(cost, grad, x0, config, stop_below=None):
             best_f, best_x = fx, x.copy()
         if stop_below is not None and best_f < stop_below:
             break
-        if np.max(np.abs(g)) < config.tolerance:
+        if np.max(np.abs(grad(x))) < config.tolerance:
             break
     return {"params": best_x, "value": best_f, "evaluations": evals}
 

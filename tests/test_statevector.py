@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latentvqe.artifacts import canonical_json
 from latentvqe.circuit import (
     Circuit, Gate, Param, gate_matrix, simulate, swap_test_circuit,
 )
+from latentvqe.hamiltonian import (
+    hamiltonian_for_distance, hamiltonian_from_json, hamiltonian_to_dict,
+)
 from latentvqe.statevector import (
-    PauliString, StateVector, _apply_1q, _pauli_action, expectation, partial_trace, zero_state,
+    PauliString, StateVector, _apply_1q, _pauli_action, expectation, partial_trace,
+    pauli_sum_matrix, zero_state,
 )
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -179,6 +188,63 @@ class TestPauliActionCache:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[1]
+
+
+def reference_pauli_sum_matrix(terms, n_qubits):
+    """The term-by-term scatter-add that `pauli_sum_matrix`'s table replaces."""
+    out = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    for term in terms:
+        idx, flipped, phase = _pauli_action(term.ops, 1 << n_qubits)
+        out[flipped, idx] += term.coefficient * phase
+    return out
+
+
+@st.composite
+def term_lists(draw):
+    """1-6 qubits; Y-heavy strings, in no order, some terms repeated later in the list."""
+    n = draw(st.integers(1, 6))
+    ops = st.lists(st.sampled_from("IXYZYY"), min_size=n, max_size=n).map("".join)
+    coeff = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    terms = draw(st.lists(st.builds(PauliString, ops, coeff), max_size=10))
+    repeats = draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    return n, terms + repeats
+
+
+class TestPauliSumMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists())
+    def test_bit_identical_to_scatter_add(self, case):
+        n, terms = case
+        assert pauli_sum_matrix(terms, n).tobytes() == reference_pauli_sum_matrix(terms, n).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.2, 5.0))
+    def test_json_round_trip_hamiltonian_bit_identical(self, r):
+        h = hamiltonian_from_json(canonical_json(hamiltonian_to_dict(hamiltonian_for_distance(r))))
+        got = pauli_sum_matrix(h.terms, 4)
+        assert got.tobytes() == reference_pauli_sum_matrix(h.terms, 4).tobytes()
+        assert got.tobytes() == hamiltonian_for_distance(r).matrix.tobytes()
+
+    def test_no_terms_is_zero_and_length_is_checked(self):
+        assert pauli_sum_matrix([], 2).tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
+        with pytest.raises(ValueError, match="length"):
+            pauli_sum_matrix([PauliString("ZZ", 1.0), PauliString("Z", 1.0)], 2)
+
+
+class TestPauliStringValidation:
+    @pytest.mark.parametrize("ops", ["x", "Zz", "XA", "IXYZQ", "X Y", "1"])
+    def test_rejects_lowercase_or_unknown_letters(self, ops):
+        with pytest.raises(ValueError, match="invalid Pauli characters"):
+            PauliString(ops, 1.0)
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_rejects_nonfinite_coefficients(self, coeff):
+        with pytest.raises(ValueError, match="finite"):
+            PauliString("XZ", coeff)
+
+    @pytest.mark.parametrize("coeff", [np.float64(-0.25), np.float32(1.5), 2, 0.0])
+    def test_accepts_numpy_and_python_reals(self, coeff):
+        assert PauliString("IXYZ", coeff).coefficient == coeff
 
 
 class TestPartialTrace:
