@@ -183,7 +183,8 @@ class TestVqeRun:
                    "--out", tmp_path / "x.json")
         assert code == EXIT_UPSTREAM
 
-    @pytest.mark.parametrize("malform", ["terms_not_a_list", "coeff_is_a_list", "top_level_array",
+    @pytest.mark.parametrize("malform", ["terms_not_a_list", "coeff_is_a_list", "pauli_is_a_list",
+                                         "top_level_array",
                                          "grid_files_not_a_list", "grid_files_empty",
                                          "n_qubits_too_large", "pauli_string_too_short",
                                          "two_qubit_hamiltonian", "eight_qubit_hamiltonian",
@@ -195,6 +196,8 @@ class TestVqeRun:
             doc["terms"] = 5
         elif malform == "coeff_is_a_list":
             doc["terms"][0]["coeff"] = [1.0, 2.0]
+        elif malform == "pauli_is_a_list":
+            doc["terms"][1]["pauli"] = list(doc["terms"][1]["pauli"])
         elif malform == "n_qubits_too_large":
             doc["n_qubits"] = 5
         elif malform == "pauli_string_too_short":
