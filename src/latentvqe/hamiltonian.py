@@ -115,8 +115,8 @@ def _boys_classes() -> dict:
     member; "nuclear" (9, 2, 4) and "eri" (9, 9, 4, 4) give each argument's class.
     """
     t = _sto3g_table()
-    u, m = np.divmod(np.arange(36), 9)
-    half = np.minimum(9 * u + m, 9 * (u % 2 * 2 + u // 2) + m % 3 * 3 + m // 3)
+    hu, hm = np.divmod(np.arange(36), 9)   # centre pair and primitive pair of P at 9 u + m
+    half = np.minimum(9 * hu + hm, 9 * (hu % 2 * 2 + hu // 2) + hm % 3 * 3 + hm // 3)
     m, c, u = np.indices((9, 2, 4)).reshape(3, -1)
     m1, m2, u1, u2 = np.indices((9, 9, 4, 4)).reshape(4, -1)
     left = np.concatenate((9 * u + m, 9 * u1 + m1))

@@ -7,7 +7,8 @@ Usage, from the repository root:
     python3 tools/artifact_hashes.py --workload latent --seed 3
 
 Each command of `bench/workloads.build(workload, seed, <temporary dir>)` runs
-once, in order, through `latentvqe.cli.main` (its stdout is discarded). Then
+once, in order, through `bench/run.run_command` (`latentvqe.cli.main`, stdout
+captured and discarded). Then
 one line per file that the step wrote, manifests left out, as
 `bench/checks.artifact_hashes` reports it:
 
@@ -20,8 +21,6 @@ exits non-zero.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +30,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import checks  # noqa: E402
 import workloads  # noqa: E402
-from latentvqe.cli import main as cli_main  # noqa: E402
+from run import run_command  # noqa: E402
 
 
 def workload_hashes(workload: str, seed: int) -> tuple[list[str], list[str]]:
@@ -40,12 +39,7 @@ def workload_hashes(workload: str, seed: int) -> tuple[list[str], list[str]]:
     with tempfile.TemporaryDirectory(prefix="artifact-hashes-") as tmp:
         root = Path(tmp)
         for step in workloads.build(workload, seed, root):
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli_main(list(step.argv))
-            except SystemExit as exc:
-                code = exc.code
-            if code != 0:
+            if run_command(step)[0] != 0:
                 failed.append(step.name)
             for rel, digest in checks.artifact_hashes(step, root).items():
                 lines.append(f"{workload} {step.name} {rel} {digest}")
