@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from .hamiltonian import (
 )
 from .optimize import (
     NumericalError, OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
-    dataset_to_csv, optimize_vqe, staged_gate_optimize,
+    dataset_to_csv, optimize_vqe, staged_gate_optimize, whole_gate_optimize,
 )
 from .qae import (
     DEFAULT_TRAINING_BOND_LENGTHS, LATENT_PQC, QAE_CONFIG, QAE_TARGET, QaeTrainingError,
@@ -176,17 +177,18 @@ def _load_ham_points(path: Path):
 
 # --- vqe run -----------------------------------------------------------------
 
-def _best_staged(circuit, hamiltonian, rng, restarts: int) -> dict:
-    """Best of `restarts` staged solves from random starts (ties keep the earlier one)."""
+def _best_staged(solve, circuit, hamiltonian, rng, restarts: int) -> dict:
+    """Best of `restarts` per-gate `solve`s from random starts (ties keep the earlier one),
+    with "evaluations" summed over all starts."""
     best = None
     evals = 0
     for _ in range(restarts):
         x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-        res = staged_gate_optimize(circuit, hamiltonian, x0)
+        res = solve(circuit, hamiltonian, x0)
         evals += res["evaluations"]
         if best is None or res["energy"] < best["energy"]:
             best = res
-    return {"params": best["params"], "energy": best["energy"], "evaluations": evals}
+    return {**best, "evaluations": evals}
 
 
 def _latent_circuit_from(args):
@@ -198,7 +200,7 @@ def _latent_circuit_from(args):
 def cmd_vqe_run(args):
     if args.ansatz == "latent" and args.max_iterations is not None:
         raise ValueError("--max-iterations bounds the Nelder-Mead simplex of uccsd/su2 only; "
-                         "the staged latent solve does not take it")
+                         "the whole-gate latent solve does not take it")
     points, point_files = _load_ham_points(Path(args.ham))
     inputs = [args.ham] + point_files + ([args.qae] if args.ansatz == "latent" else [])
 
@@ -215,20 +217,21 @@ def cmd_vqe_run(args):
     # the latent circuit counts only its PQC; the decoder is frozen
     counts = resource_counts(LATENT_PQC if args.ansatz == "latent" else circuit)
 
-    method = "staged" if args.ansatz == "latent" else "nm"
+    method = "whole-gate" if args.ansatz == "latent" else "nm"
     budget = {} if args.max_iterations is None else {"max_iterations": args.max_iterations}
     config = OptimizerConfig(restarts=args.restarts, **budget)
     results, stops = [], []
     for i, (bond, h) in enumerate(points):
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
         oracle = exact_ground_energy(h)["energy"]
-        if method == "staged":
-            res = _best_staged(circuit, h, rng, args.restarts)
+        if method == "whole-gate":
+            res = _best_staged(whole_gate_optimize, circuit, h, rng, args.restarts)
+            count = {"sweeps": res["sweeps"]}
         else:
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
             res = optimize_vqe(circuit, h, config, rng=rng, initial=initial)
-            stops.append({"bond_length": bond, "iterations": res["iterations"],
-                          "stop_reason": res["stop_reason"]})
+            count = {"iterations": res["iterations"]}
+        stops.append({"bond_length": bond, **count, "stop_reason": res["stop_reason"]})
         results.append({
             "bond_length": bond,
             "energy": res["energy"],
@@ -252,7 +255,7 @@ def cmd_vqe_run(args):
     out = Path(args.out)
     _write_json(out, doc)
     return (out, {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},
-            inputs, [out], {"points": stops} if stops else None)
+            inputs, [out], {"points": stops})
 
 
 # --- qae train ---------------------------------------------------------------
@@ -278,8 +281,8 @@ def cmd_dataset_generate(args):
     grid = args.grid
     anchor_idx = int(np.argmin(np.abs(grid - args.anchor)))
     hams = [hamiltonian_for_distance(float(r)) for r in grid]
-    best = _best_staged(circuit, hams[anchor_idx], named_rng(args.seed, "dataset/anchor"),
-                        args.restarts)
+    best = _best_staged(staged_gate_optimize, circuit, hams[anchor_idx],
+                        named_rng(args.seed, "dataset/anchor"), args.restarts)
     dataset = constrained_sweep(circuit, hams, anchor_idx, best["params"],
                                 StepConstraint(alpha=args.alpha, gamma=args.gamma))
     out = Path(args.out)
@@ -353,9 +356,12 @@ def _result_row(text: str) -> dict:
     doc = require_schema(json.loads(text), "result file")
     if doc.get("kind") not in ("vqe-result", "nn-eval-summary"):
         raise ValueError(f"not a result file (kind={doc.get('kind')!r})")
-    if not isinstance(doc["method"], str):
-        raise ValueError(f"method must be a string, got {doc['method']!r}")
-    return {"method": doc["method"], "mae": float(doc["mae"]),
+    method = doc["method"]
+    if not isinstance(method, str) or not re.fullmatch(r"[\w-][\w.-]*", method, re.ASCII):
+        # it names <out>_<method>.dat, which must stay beside <out>
+        raise ValueError(f"method must be letters, digits, '.', '_' or '-', not starting "
+                         f"with '.', got {method!r}")
+    return {"method": method, "mae": float(doc["mae"]),
             "n_gates": doc["n_gates"], "n_params": doc["n_params"],
             "points": [(float(p["bond_length"]), float(p["energy"]))
                        for p in doc.get("points") or []]}

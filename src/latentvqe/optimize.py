@@ -1,11 +1,12 @@
 """Classical optimizers and the two trainability procedures.
 
-Contains the Nelder-Mead simplex, Adam over adjoint gradients, the staged
-per-gate optimization (closed-form solves of the U1-restricted phase, then of
-the remaining two U3 angles), and the bond-length sweep whose per-step search
-window is centered on the linear extrapolation of the previous two points; on
-the first step out of the anchor, where there is only one previous point, the
-window is centered on a Newton step from the anchor angles (`first_step_delta`).
+Contains the Nelder-Mead simplex, Adam over adjoint gradients, two per-gate
+optimizations (staged: closed-form solves of the U1-restricted phase, then of
+the other two U3 angles; whole-gate: one 4 x 4 eigenproblem per U3), and the
+bond-length sweep whose per-step search window is centered on the linear
+extrapolation of the previous two points; on the first step out of the anchor,
+where there is only one previous point, the window is centered on a Newton
+step from the anchor angles (`first_step_delta`).
 """
 from __future__ import annotations
 
@@ -332,12 +333,12 @@ def _check_u3_slots(circuit: Circuit) -> None:
         if not slots:
             continue
         if g.kind != "U3":
-            raise ValueError("staged optimization expects all free parameters on U3 gates")
+            raise ValueError("per-gate optimization expects all free parameters on U3 gates")
         if len(set(slots)) != 3 or any(p.coeff != 1.0 for p in g.params):
-            raise ValueError(f"staged optimization expects U3 gate {gi} on qubit {g.targets[0]} "
+            raise ValueError(f"per-gate optimization expects U3 gate {gi} on qubit {g.targets[0]} "
                              "to read three distinct slots, each with coefficient 1")
         if any(owner.setdefault(slot, gi) != gi for slot in slots):
-            raise ValueError("staged optimization expects each slot on a single U3 gate")
+            raise ValueError("per-gate optimization expects each slot on a single U3 gate")
 
 
 def staged_gate_optimize(
@@ -355,7 +356,8 @@ def staged_gate_optimize(
     the second from the 3 x 3 grid of these shifts; each takes the fit's
     minimum on the box, scores it once and keeps it if that energy is <= the
     current one. Sweeps stop when one gains less than config.tolerance
-    (default 1e-11 Hartree), or after _SWEEP_CAP; config.max_iterations is unused.
+    (default 1e-11 Hartree; "stop_reason" `tolerance`), or after _SWEEP_CAP
+    (`sweep_cap`); config.max_iterations is unused.
 
     Trials are scored as psi^dag K psi: psi is the cached state before the
     gate with the trial gate applied, and K = S^dag H S folds the later gates
@@ -391,7 +393,86 @@ def staged_gate_optimize(
                     params[sub], energy = trial[sub], float(value)
         if sweep_start - energy < config.tolerance:
             break
-    return {"params": params, "energy": energy, "evaluations": evaluations, "sweeps": sweeps}
+    stop = "tolerance" if sweep_start - energy < config.tolerance else "sweep_cap"
+    return {"params": params, "energy": energy, "evaluations": evaluations, "sweeps": sweeps,
+            "stop_reason": stop}
+
+
+# --- whole-gate optimization (one 4 x 4 eigenproblem per U3) ----------------
+
+# I, -iX, -iY, -iZ: up to a global phase U3 is q0 I - i (q1 X + q2 Y + q3 Z), q real and unit
+_QUATERNION_BASIS = np.array([np.eye(2), [[0, -1j], [-1j, 0]], [[0, -1], [1, 0]],
+                              [[-1j, 0], [0, 1j]]])
+
+
+def _u3_quaternion(theta: float, phi: float, lam: float) -> np.ndarray:
+    """The real unit q with U3(theta, phi, lam) = e^{i(phi + lam)/2} (q0 I - i q . sigma)."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    alpha, beta = 0.5 * (phi + lam), 0.5 * (lam - phi)
+    return np.array([c * math.cos(alpha), s * math.sin(beta), s * math.cos(beta),
+                     c * math.sin(alpha)])
+
+
+def _u3_angles(q, near) -> list[float]:
+    """U3 angles of the real unit q (`_u3_quaternion` inverted): of (theta, phi, lambda)
+    and (-theta, phi + pi, lambda - pi), each shifted by multiples of 4 pi in theta
+    and 2 pi in phi and lambda (all one matrix), the one nearest `near`."""
+    theta = 2.0 * math.atan2(math.hypot(q[2], q[1]), math.hypot(q[0], q[3]))
+    alpha, beta = math.atan2(q[3], q[0]), math.atan2(q[1], q[2])
+    periods = (4.0 * math.pi, 2.0 * math.pi, 2.0 * math.pi)
+    branches = ((theta, alpha - beta, alpha + beta),
+                (-theta, alpha - beta + math.pi, alpha + beta - math.pi))
+    shifted = [[a + p * round((b - a) / p) for a, b, p in zip(branch, near, periods)]
+               for branch in branches]
+    return min(shifted, key=lambda angles: sum((a - b) ** 2 for a, b in zip(angles, near)))
+
+
+def _whole_gate_form(gate: Gate, prefix, kmat) -> np.ndarray:
+    """M = Re(Phi^dag K Phi) with Phi = [psi, -iX psi, -iY psi, -iZ psi] on the gate's qubit,
+    psi = `prefix`: the energy is q^T M q when the gate is q0 I - i q . sigma."""
+    phi = np.einsum("kij,hjl->hilk", _QUATERNION_BASIS,
+                    prefix.reshape(-1, 2, 1 << gate.targets[0])).reshape(-1, 4)
+    return (phi.conj().T @ kmat @ phi).real
+
+
+def whole_gate_optimize(circuit: Circuit, hamiltonian, init,
+                        config: OptimizerConfig | None = None) -> dict:
+    """Sweep the U3 gates in circuit order, each solved exactly as a whole gate (Fraxis,
+    arXiv:2104.14875; FQS, arXiv:2209.08535), without bounds.
+
+    With the other gates fixed, the energy is q^T M q (`_whole_gate_form`), so
+    M's lowest eigenpair (w0, q) is the gate's global optimum. It is kept if w0
+    is <= the energy at the gate's current q, and written back in place as the
+    U3 angles nearest the current ones (`_u3_angles`) less each slot's offset.
+    Sweeps stop as the staged ones do ("stop_reason" `tolerance` or
+    `sweep_cap`). "energy" is energy_fn at the result; "evaluations" is that
+    one plus the 10 distinct entries of each M.
+    """
+    config = config or OptimizerConfig(tolerance=1e-11)
+    hmat, start = _observable(hamiltonian, circuit.n_qubits), zero_state(circuit.n_qubits)
+    params = np.array(init, dtype=float)
+    _check_u3_slots(circuit)
+
+    solves = 0
+    for sweeps in range(1, _SWEEP_CAP + 1):
+        gain = 0.0
+        # the walk sees the in-place updates of params below in later prefixes
+        for gate, prefix, kmat in _free_gate_walk(circuit, hmat, params, start.amplitudes):
+            m = _whole_gate_form(gate, prefix, kmat)
+            w, v = np.linalg.eigh(m)
+            solves += 1
+            near = [p.value(params) for p in gate.params]
+            q = _u3_quaternion(*near)
+            current = q @ m @ q
+            if w[0] <= current:
+                gain += current - w[0]
+                for p, angle in zip(gate.params, _u3_angles(v[:, 0], near)):
+                    params[p.slot] = angle - p.offset
+        if gain < config.tolerance:
+            break
+    return {"params": params, "energy": energy_fn(circuit, hamiltonian, start)(params),
+            "evaluations": 1 + 10 * solves, "sweeps": sweeps,
+            "stop_reason": "tolerance" if gain < config.tolerance else "sweep_cap"}
 
 
 def optimize_vqe(

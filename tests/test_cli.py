@@ -238,7 +238,7 @@ class TestVqeRun:
         assert "QAE model" in capsys.readouterr().err
 
     def test_latent_rejects_max_iterations(self, ham, qae_doc, tmp_path, capsys):
-        # the flag bounds the uccsd/su2 simplex; the staged latent solve would ignore it
+        # the flag bounds the uccsd/su2 simplex; the whole-gate latent solve would ignore it
         path = tmp_path / "qae.json"
         path.write_text(json.dumps(qae_doc))
         out = tmp_path / "x.json"
@@ -267,6 +267,23 @@ class TestVqeRun:
             {"bond_length": 0.735, "iterations": 5, "stop_reason": "budget"}]
         (point,) = stops("uccsd")
         assert point["stop_reason"] == "tolerance" and 0 < point["iterations"] < 2000
+
+    def test_latent_records_whole_gate_solve(self, ham, qae_doc, tmp_path):
+        qae = tmp_path / "qae.json"
+        qae.write_text(json.dumps(qae_doc))
+        out = tmp_path / "latent.json"
+        assert run("vqe", "run", "--ansatz", "latent", "--ham", ham, "--qae", qae,
+                   "--restarts", 2, "--out", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["optimizer"] == "whole-gate"
+        (point,) = doc["points"]
+        manifest = json.loads((tmp_path / "latent.json.manifest.json").read_text())
+        assert manifest["config"]["optimizer"] == "whole-gate"
+        (stop,) = manifest["result"]["points"]
+        assert stop["bond_length"] == point["bond_length"] == 0.735
+        assert stop["stop_reason"] in ("tolerance", "sweep_cap") and 1 <= stop["sweeps"] <= 30
+        # two starts, each 1 + 10 per gate solve: 4 gates per sweep
+        assert (point["evaluations"] - 2) % 40 == 0
 
     def test_default_simplex_budget_is_2000(self, ham, tmp_path):
         out = tmp_path / "su2.json"
@@ -507,20 +524,29 @@ class TestReport:
             run("report", "--out", tmp_path / "t.csv")
         assert err.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("malform", ["no_method", "point_without_energy", "mae_not_a_number"])
+    @pytest.mark.parametrize("malform", ["no_method", "point_without_energy", "mae_not_a_number",
+                                         "method_with_a_path", "method_starting_with_a_dot"])
     def test_malformed_result_is_upstream_error(self, tmp_path, malform):
-        p = tmp_path / "r.json"
+        # the method names <out>_<method>.dat, so a path in it would write outside --out's folder
+        work = tmp_path / "a" / "b"
+        work.mkdir(parents=True)
+        p = work / "r.json"
         self._result(p, "uccsd", 1e-3, points=[{"bond_length": 0.7, "energy": -1.1}])
         doc = json.loads(p.read_text())
         if malform == "no_method":
             del doc["method"]
         elif malform == "point_without_energy":
             del doc["points"][0]["energy"]
+        elif malform == "method_with_a_path":
+            doc["method"] = "../../escaped"
+        elif malform == "method_starting_with_a_dot":
+            doc["method"] = ".hidden"
         else:
             doc["mae"] = "small"
         p.write_text(json.dumps(doc))
-        assert run("report", p, "--out", tmp_path / "t.csv") == EXIT_UPSTREAM
-        assert not (tmp_path / "t.csv").exists()
+        assert run("report", p, "--out", work / "t.csv") == EXIT_UPSTREAM
+        assert sorted(f.relative_to(tmp_path).as_posix() for f in tmp_path.rglob("*")) == [
+            "a", "a/b", "a/b/r.json"]
 
     def test_duplicate_method_is_usage_error(self, tmp_path, capsys):
         # both would write table.csv_uccsd.dat, the second over the first

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latentvqe import optimize
 from latentvqe.ansatz import strongly_entangling
 from latentvqe.artifacts import SCHEMA_VERSION
 from latentvqe.circuit import Circuit, Gate, Param, gate_matrix
@@ -11,9 +12,12 @@ from latentvqe.optimize import (
     DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
     batched_shift_gradient, constrained_sweep, dataset_from_csv, dataset_to_csv,
     energy_fn, first_step_delta, minimize, optimize_vqe, parameter_shift_gradient,
-    staged_gate_optimize,
+    staged_gate_optimize, whole_gate_optimize,
 )
-from latentvqe.optimize import _FIT, _SHIFTS, _fourier_argmin, _sinusoid_argmin
+from latentvqe.optimize import (
+    _FIT, _SHIFTS, _check_u3_slots, _fourier_argmin, _free_gate_walk, _sinusoid_argmin,
+    _u3_angles, _u3_quaternion, _whole_gate_form,
+)
 from latentvqe.statevector import PauliString, _apply_1q, pauli_sum_matrix, zero_state
 
 
@@ -400,6 +404,185 @@ class TestStaged:
         res = staged_gate_optimize(c, h, x0, bounds=(lo, hi))
         assert np.all(res["params"] >= lo) and np.all(res["params"] <= hi)
         assert res["energy"] <= energy_fn(c, h, zero_state(2))(x0)
+
+
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0]))
+
+
+def _quaternion_matrix(q):
+    """q0 I - i (q1 X + q2 Y + q3 Z), from the Pauli matrices."""
+    return q[0] * _PAULIS[0] - 1j * sum(qk * p for qk, p in zip(q[1:], _PAULIS[1:]))
+
+
+def _u3(params, slots=(0, 1, 2), offsets=(0.0, 0.0, 0.0)):
+    return gate_matrix(Gate("U3", (0,), tuple(Param(k, 1.0, o) for k, o in zip(slots, offsets))),
+                       np.asarray(params, dtype=float))
+
+
+def _random_unit(rng, size=4):
+    q = rng.normal(size=size)
+    return q / np.linalg.norm(q)
+
+
+def _offset_circuit(scale=1.0):
+    # strongly_entangling(2, 1)'s layout with an offset on every angle (none at scale 0)
+    offset = lambda k: scale * (0.1 + 0.05 * k)
+    shifted = lambda q, k: Gate("U3", (q,), tuple(Param(k + i, 1.0, offset(k + i))
+                                                for i in range(3)))
+    return Circuit(2, (shifted(0, 0), shifted(1, 3), Gate("CNOT", (0, 1)),
+                       shifted(0, 6), shifted(1, 9), Gate("CNOT", (1, 0))), 12)
+
+
+class TestWholeGate:
+    def test_angle_map_round_trip(self):
+        # U3 at the mapped angles is q0 I - i q . sigma up to a global phase, from any `near`
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            q = _random_unit(rng)
+            angles = _u3_angles(q, rng.uniform(-10.0, 10.0, 3))
+            u, target = _u3(angles), _quaternion_matrix(q)
+            phase = np.trace(target.conj().T @ u) / 2
+            assert abs(abs(phase) - 1.0) < 1e-12
+            assert np.max(np.abs(u - phase * target)) < 1e-12
+            back = _u3_quaternion(*angles)
+            assert min(np.max(np.abs(back - q)), np.max(np.abs(back + q))) < 1e-12
+
+    def test_quaternion_of_angles_is_the_u3_matrix(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            angles = rng.uniform(-7.0, 7.0, 3)
+            q = _u3_quaternion(*angles)
+            assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-14)
+            phase = np.exp(0.5j * (angles[1] + angles[2]))
+            assert np.max(np.abs(_u3(angles) - phase * _quaternion_matrix(q))) < 1e-12
+
+    def test_angle_map_takes_the_nearest_branch(self):
+        # against every branch and shift in a window: (theta + 4 pi a, phi + 2 pi b,
+        # lambda + 2 pi c) and (-theta + 4 pi a, phi + pi + 2 pi b, lambda - pi + 2 pi c)
+        rng = np.random.default_rng(7)
+        shifts = np.array([(a, b, c) for a in range(-3, 4) for b in range(-3, 4)
+                           for c in range(-3, 4)], dtype=float) * [4 * np.pi, 2 * np.pi, 2 * np.pi]
+        for _ in range(100):
+            q, near = _random_unit(rng), rng.uniform(-12.0, 12.0, 3)
+            theta = 2 * np.arctan2(np.hypot(q[2], q[1]), np.hypot(q[0], q[3]))
+            alpha, beta = np.arctan2(q[3], q[0]), np.arctan2(q[1], q[2])
+            bases = [(theta, alpha - beta, alpha + beta),
+                     (-theta, alpha - beta + np.pi, alpha + beta - np.pi)]
+            candidates = np.concatenate([np.add(b, shifts) for b in bases])
+            best = np.min(np.sum((candidates - near) ** 2, axis=1))
+            chosen = np.array(_u3_angles(q, near))
+            assert np.sum((chosen - near) ** 2) == pytest.approx(best, rel=1e-12, abs=1e-12)
+            # each component lies within half a period of `near`
+            assert np.all(np.abs(chosen - near) <= [2 * np.pi, np.pi, np.pi] + np.full(3, 1e-12))
+
+    def test_form_is_the_energy_at_every_unit_q(self):
+        # q^T M q against energy_fn with the gate's slots set to q's angles less their offsets
+        c = _offset_circuit()
+        h = toy_hamiltonians([1.3])[0]
+        cost = energy_fn(c, h, zero_state(2))
+        rng = np.random.default_rng(8)
+        params = rng.uniform(0, 2 * np.pi, 12)
+        for gate, prefix, kmat in _free_gate_walk(c, h.matrix, params, zero_state(2).amplitudes):
+            m = _whole_gate_form(gate, prefix, kmat)
+            assert np.array_equal(m, m.T) or np.max(np.abs(m - m.T)) < 1e-14
+            for _ in range(10):
+                q = _random_unit(rng)
+                trial = params.copy()
+                near = [p.value(params) for p in gate.params]
+                for p, angle in zip(gate.params, _u3_angles(q, near)):
+                    trial[p.slot] = angle - p.offset
+                assert q @ m @ q == pytest.approx(cost(trial), abs=1e-12)
+
+    def test_one_gate_matches_a_multistart_search(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        # one free U3 between fixed gates: one whole-gate solve is the global optimum
+        rng = np.random.default_rng(9)
+        fixed = lambda q: Gate("U3", (q,), tuple(Param.const(a) for a in rng.uniform(0, 6, 3)))
+        free = Gate("U3", (1,), (Param.ref(0), Param.ref(1), Param.ref(2)))
+        c = Circuit(2, (fixed(0), fixed(1), Gate("CNOT", (0, 1)), free,
+                        Gate("CNOT", (1, 0)), fixed(0)), 3)
+        terms = [PauliString(s, float(w)) for s, w in
+                 zip(("ZI", "IZ", "XX", "YY", "ZZ", "XZ"), rng.normal(size=6))]
+        cost = energy_fn(c, terms, zero_state(2))
+        res = whole_gate_optimize(c, terms, np.zeros(3))
+        search = min(scipy_optimize.minimize(cost, x0, method="L-BFGS-B").fun
+                     for x0 in rng.uniform(0, 2 * np.pi, (40, 3)))
+        assert res["energy"] == pytest.approx(search, abs=1e-9)
+        assert res["sweeps"] == 2 and res["stop_reason"] == "tolerance"
+        assert res["evaluations"] == 1 + 10 * 2
+
+    def test_never_above_its_start_and_deterministic(self):
+        c = strongly_entangling(2, 2)
+        for x, seed in ((0.4, 0), (1.1, 1), (2.2, 2)):
+            h = toy_hamiltonians([x])[0]
+            x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, 24)
+            a = whole_gate_optimize(c, h, x0)
+            b = whole_gate_optimize(c, h, x0)
+            assert a["params"].tobytes() == b["params"].tobytes() and a["energy"] == b["energy"]
+            assert a["energy"] <= energy_fn(c, h, zero_state(2))(x0)
+            assert a["energy"] == energy_fn(c, h, zero_state(2))(a["params"])
+            assert np.array_equal(x0, np.random.default_rng(seed).uniform(0, 2 * np.pi, 24))
+
+    @pytest.mark.parametrize("x", [0.3, 0.9, 1.7, 2.6])
+    def test_best_of_five_starts_reaches_the_ground_energy(self, x):
+        # coordinate descent can crawl from a single start, as the CLI's restarts allow for
+        h = toy_hamiltonians([x])[0]
+        c = strongly_entangling(2, 1)
+        best = min(whole_gate_optimize(c, h, np.random.default_rng(s).uniform(0, 2 * np.pi, 12))
+                   ["energy"] for s in range(5))
+        assert abs(best - exact_ground_energy(h)["energy"]) < 1e-9
+
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_offsets_are_written_back(self, seed):
+        # the same gate angles with and without offsets make the same solve; the angles
+        # themselves may part where a gate's optimum is not unique (a Z angle on |0>)
+        h = toy_hamiltonians([0.8])[0]
+        offsets = np.array([0.1 + 0.05 * k for k in range(12)])
+        x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, 12)
+        shifted = whole_gate_optimize(_offset_circuit(), h, x0)
+        plain = whole_gate_optimize(_offset_circuit(0.0), h, x0 + offsets)
+        assert shifted["energy"] == pytest.approx(plain["energy"], abs=1e-12)
+
+    @pytest.mark.parametrize("solve", [staged_gate_optimize, whole_gate_optimize])
+    def test_stop_reasons(self, solve, monkeypatch):
+        c = strongly_entangling(2, 1)
+        h = toy_hamiltonians([0.9])[0]
+        x0 = np.random.default_rng(0).uniform(0, 2 * np.pi, 12)
+        done = solve(c, h, x0)
+        assert done["stop_reason"] == "tolerance" and done["sweeps"] < 30
+        monkeypatch.setattr(optimize, "_SWEEP_CAP", 2)
+        capped = solve(c, h, x0)
+        assert capped["stop_reason"] == "sweep_cap" and capped["sweeps"] == 2
+
+    @pytest.mark.parametrize("gates, n_params, rejected", [
+        ((("U3", 0, (0, 1, 2)), ("U3", 1, (0, 1, 2))), 3, True),
+        ((("RY", 0, (0,)),), 1, True),
+        ((("U3", 0, (0, 1, None)),), 2, True),
+        ((("U3", 0, (0, 1, 0)),), 2, True),
+        ((("U3", 0, (0, "2x", 2)),), 3, True),
+        ((("U3", 0, (0, 1, 2)), ("H", 1, ()), ("U3", 1, (3, 4, 5))), 6, False),
+        ((("U1", 0, (None,)), ("U3", 1, (0, 1, 2))), 3, False),
+    ], ids=["shared_slot", "ry", "constant_angle", "slot_read_twice", "coefficient",
+            "two_u3", "constant_u1"])
+    def test_rejects_what_the_staged_solve_rejects(self, gates, n_params, rejected):
+        def param(slot):
+            if slot is None:
+                return Param.const(0.3)
+            return Param.ref(1, 2.0) if slot == "2x" else Param.ref(slot)
+        c = Circuit(2, tuple(Gate(kind, (q,), tuple(param(s) for s in slots))
+                             for kind, q, slots in gates), n_params)
+        h = [PauliString("ZZ", 1.0)]
+        messages = []
+        for check in (_check_u3_slots, lambda c: staged_gate_optimize(c, h, np.zeros(n_params)),
+                      lambda c: whole_gate_optimize(c, h, np.zeros(n_params))):
+            try:
+                check(c)
+                messages.append(None)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1] == messages[2]
+        assert (messages[0] is not None) == rejected
 
 
 def _sinusoid_value(coef, u):
