@@ -177,7 +177,7 @@ def _load_ham_points(path: Path):
 
 # --- vqe run -----------------------------------------------------------------
 
-def _best_staged(solve, circuit, hamiltonian, rng, restarts: int) -> dict:
+def _best_of_starts(solve, circuit, hamiltonian, rng, restarts: int) -> dict:
     """Best of `restarts` per-gate `solve`s from random starts (ties keep the earlier one),
     with "evaluations" summed over all starts."""
     best = None
@@ -225,7 +225,7 @@ def cmd_vqe_run(args):
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
         oracle = exact_ground_energy(h)["energy"]
         if method == "whole-gate":
-            res = _best_staged(whole_gate_optimize, circuit, h, rng, args.restarts)
+            res = _best_of_starts(whole_gate_optimize, circuit, h, rng, args.restarts)
             count = {"sweeps": res["sweeps"]}
         else:
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
@@ -281,7 +281,7 @@ def cmd_dataset_generate(args):
     grid = args.grid
     anchor_idx = int(np.argmin(np.abs(grid - args.anchor)))
     hams = [hamiltonian_for_distance(float(r)) for r in grid]
-    best = _best_staged(staged_gate_optimize, circuit, hams[anchor_idx],
+    best = _best_of_starts(staged_gate_optimize, circuit, hams[anchor_idx],
                         named_rng(args.seed, "dataset/anchor"), args.restarts)
     dataset = constrained_sweep(circuit, hams, anchor_idx, best["params"],
                                 StepConstraint(alpha=args.alpha, gamma=args.gamma))

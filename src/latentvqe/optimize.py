@@ -260,6 +260,7 @@ def adam_minimize(fun, x0, config: OptimizerConfig, stop_below=None) -> dict:
 # --- staged per-gate optimization (U1 restriction, then theta/phi) ----------
 
 _SWEEP_CAP = 30
+_SWEEP_TOL = 1e-11        # Hartree: a sweep gaining less than this ends a per-gate solve
 _SHIFTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 # maps energies at _SHIFTS to the coefficients of (1, cos u, sin u)
 _FIT = np.linalg.inv(np.column_stack([np.ones(3), np.cos(_SHIFTS), np.sin(_SHIFTS)]))
@@ -356,14 +357,14 @@ def staged_gate_optimize(
     the second from the 3 x 3 grid of these shifts; each takes the fit's
     minimum on the box, scores it once and keeps it if that energy is <= the
     current one. Sweeps stop when one gains less than config.tolerance
-    (default 1e-11 Hartree; "stop_reason" `tolerance`), or after _SWEEP_CAP
+    (default _SWEEP_TOL; "stop_reason" `tolerance`), or after _SWEEP_CAP
     (`sweep_cap`); config.max_iterations is unused.
 
     Trials are scored as psi^dag K psi: psi is the cached state before the
     gate with the trial gate applied, and K = S^dag H S folds the later gates
     S into the observable (once per sweep, since they have not moved yet).
     """
-    config = config or OptimizerConfig(tolerance=1e-11)
+    config = config or OptimizerConfig(tolerance=_SWEEP_TOL)
     n = circuit.n_qubits
     hmat = _observable(hamiltonian, n)
     start = zero_state(n)
@@ -435,8 +436,7 @@ def _whole_gate_form(gate: Gate, prefix, kmat) -> np.ndarray:
     return (phi.conj().T @ kmat @ phi).real
 
 
-def whole_gate_optimize(circuit: Circuit, hamiltonian, init,
-                        config: OptimizerConfig | None = None) -> dict:
+def whole_gate_optimize(circuit: Circuit, hamiltonian, init) -> dict:
     """Sweep the U3 gates in circuit order, each solved exactly as a whole gate (Fraxis,
     arXiv:2104.14875; FQS, arXiv:2209.08535), without bounds.
 
@@ -444,11 +444,10 @@ def whole_gate_optimize(circuit: Circuit, hamiltonian, init,
     M's lowest eigenpair (w0, q) is the gate's global optimum. It is kept if w0
     is <= the energy at the gate's current q, and written back in place as the
     U3 angles nearest the current ones (`_u3_angles`) less each slot's offset.
-    Sweeps stop as the staged ones do ("stop_reason" `tolerance` or
-    `sweep_cap`). "energy" is energy_fn at the result; "evaluations" is that
-    one plus the 10 distinct entries of each M.
+    Sweeps stop when one gains less than _SWEEP_TOL ("stop_reason"
+    `tolerance`), or after _SWEEP_CAP (`sweep_cap`). "energy" is energy_fn at
+    the result; "evaluations" is that one plus the 10 distinct entries of each M.
     """
-    config = config or OptimizerConfig(tolerance=1e-11)
     hmat, start = _observable(hamiltonian, circuit.n_qubits), zero_state(circuit.n_qubits)
     params = np.array(init, dtype=float)
     _check_u3_slots(circuit)
@@ -468,11 +467,11 @@ def whole_gate_optimize(circuit: Circuit, hamiltonian, init,
                 gain += current - w[0]
                 for p, angle in zip(gate.params, _u3_angles(v[:, 0], near)):
                     params[p.slot] = angle - p.offset
-        if gain < config.tolerance:
+        if gain < _SWEEP_TOL:
             break
     return {"params": params, "energy": energy_fn(circuit, hamiltonian, start)(params),
             "evaluations": 1 + 10 * solves, "sweeps": sweeps,
-            "stop_reason": "tolerance" if gain < config.tolerance else "sweep_cap"}
+            "stop_reason": "tolerance" if gain < _SWEEP_TOL else "sweep_cap"}
 
 
 def optimize_vqe(
