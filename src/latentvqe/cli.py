@@ -34,8 +34,8 @@ from .hamiltonian import (
     hamiltonian_from_json, hamiltonian_to_dict,
 )
 from .optimize import (
-    NumericalError, OptimizerConfig, StepConstraint, constrained_sweep, dataset_from_csv,
-    dataset_to_csv, optimize_vqe, staged_gate_optimize, whole_gate_optimize,
+    NumericalError, OptimizerConfig, StepConstraint, best_of_starts, constrained_sweep,
+    dataset_from_csv, dataset_to_csv, optimize_vqe, staged_gate_optimize, whole_gate_optimize,
 )
 from .qae import (
     DEFAULT_TRAINING_BOND_LENGTHS, LATENT_PQC, QAE_CONFIG, QAE_TARGET, QaeTrainingError,
@@ -177,20 +177,6 @@ def _load_ham_points(path: Path):
 
 # --- vqe run -----------------------------------------------------------------
 
-def _best_of_starts(solve, circuit, hamiltonian, rng, restarts: int) -> dict:
-    """Best of `restarts` per-gate `solve`s from random starts (ties keep the earlier one),
-    with "evaluations" summed over all starts."""
-    best = None
-    evals = 0
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-        res = solve(circuit, hamiltonian, x0)
-        evals += res["evaluations"]
-        if best is None or res["energy"] < best["energy"]:
-            best = res
-    return {**best, "evaluations": evals}
-
-
 def _latent_circuit_from(args):
     if not args.qae:
         raise UpstreamArtifactError("--ansatz latent requires --qae MODEL_PATH")
@@ -225,7 +211,8 @@ def cmd_vqe_run(args):
         rng = named_rng(args.seed, f"vqe/{args.ansatz}/{i}")
         oracle = exact_ground_energy(h)["energy"]
         if method == "whole-gate":
-            res = _best_of_starts(whole_gate_optimize, circuit, h, rng, args.restarts)
+            res = best_of_starts(lambda x0: whole_gate_optimize(circuit, h, x0),
+                                 circuit.n_params, rng, args.restarts)
             count = {"sweeps": res["sweeps"]}
         else:
             initial = np.zeros(circuit.n_params) if args.ansatz == "uccsd" else None
@@ -234,9 +221,9 @@ def cmd_vqe_run(args):
         stops.append({"bond_length": bond, **count, "stop_reason": res["stop_reason"]})
         results.append({
             "bond_length": bond,
-            "energy": res["energy"],
+            "energy": res["value"],
             "oracle_energy": oracle,
-            "error": res["energy"] - oracle,
+            "error": res["value"] - oracle,
             "params": [float(x) for x in res["params"]],
             "evaluations": res["evaluations"],
         })
@@ -281,8 +268,8 @@ def cmd_dataset_generate(args):
     grid = args.grid
     anchor_idx = int(np.argmin(np.abs(grid - args.anchor)))
     hams = [hamiltonian_for_distance(float(r)) for r in grid]
-    best = _best_of_starts(staged_gate_optimize, circuit, hams[anchor_idx],
-                        named_rng(args.seed, "dataset/anchor"), args.restarts)
+    best = best_of_starts(lambda x0: staged_gate_optimize(circuit, hams[anchor_idx], x0),
+                          circuit.n_params, named_rng(args.seed, "dataset/anchor"), args.restarts)
     dataset = constrained_sweep(circuit, hams, anchor_idx, best["params"],
                                 StepConstraint(alpha=args.alpha, gamma=args.gamma))
     out = Path(args.out)
@@ -361,8 +348,11 @@ def _result_row(text: str) -> dict:
         # it names <out>_<method>.dat, which must stay beside <out>
         raise ValueError(f"method must be letters, digits, '.', '_' or '-', not starting "
                          f"with '.', got {method!r}")
-    return {"method": method, "mae": float(doc["mae"]),
-            "n_gates": doc["n_gates"], "n_params": doc["n_params"],
+    counts = {key: doc[key] for key in ("n_gates", "n_params")}
+    for key, value in counts.items():
+        if type(value) is not int or value < 0:  # also bool; it is written into the CSV as is
+            raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return {"method": method, "mae": float(doc["mae"]), **counts,
             "points": [(float(p["bond_length"]), float(p["energy"]))
                        for p in doc.get("points") or []]}
 

@@ -9,7 +9,6 @@ component is at most GRADIENT_TOL or after the iteration cap.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .artifacts import SCHEMA_VERSION, canonical_json, require_schema
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
-from .optimize import NumericalError, ParameterDataset, dataset_to_csv, energy_fn
+from .optimize import NumericalError, ParameterDataset, energy_fn
 from .qae import QaeModel, latent_vqe_circuit
 from .statevector import zero_state
 
@@ -37,7 +36,6 @@ class MlpModel:
     input_min: float
     input_max: float
     seed: int = 0
-    dataset_hash: str = ""
 
     def __post_init__(self):
         if self.input_min >= self.input_max:
@@ -191,6 +189,9 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
     x_raw = np.array([r.bond_length for r in records])
     y = np.stack([r.angles for r in records])
     x_min, x_max = float(x_raw.min()), float(x_raw.max())
+    if x_min == x_max:
+        raise ValueError(f"all {len(records)} unflagged records share bond length {x_min}; "
+                         "the input scaling needs at least two")
     x = ((x_raw - x_min) / (x_max - x_min)).reshape(-1, 1)
 
     rng = np.random.default_rng(config.seed)
@@ -221,7 +222,6 @@ def train(dataset: ParameterDataset, config: TrainConfig | None = None) -> dict:
         input_min=x_min,
         input_max=x_max,
         seed=config.seed,
-        dataset_hash=dataset_fingerprint(dataset),
     )
     test_loss = float("nan")
     if len(test_idx):
@@ -271,10 +271,6 @@ def evaluate_energy_mae(model: MlpModel, qae: QaeModel, bond_lengths) -> dict:
     return {"mae": mae, "per_point_errors": points}
 
 
-def dataset_fingerprint(dataset: ParameterDataset) -> str:
-    return hashlib.sha256(dataset_to_csv(dataset).encode()).hexdigest()[:16]
-
-
 # --- serialization ----------------------------------------------------------
 
 def model_to_dict(model: MlpModel) -> dict:
@@ -285,7 +281,6 @@ def model_to_dict(model: MlpModel) -> dict:
         "biases": [b.tolist() for b in model.biases],
         "input_normalization": {"min": model.input_min, "max": model.input_max},
         "seed": model.seed,
-        "dataset_hash": model.dataset_hash,
     }
 
 
@@ -298,7 +293,6 @@ def model_from_dict(doc: dict) -> MlpModel:
         input_min=float(doc["input_normalization"]["min"]),
         input_max=float(doc["input_normalization"]["max"]),
         seed=int(doc["seed"]),
-        dataset_hash=doc["dataset_hash"],
     )
     if not all(np.all(np.isfinite(a)) for a in (*model.weights, *model.biases,
                                                  model.input_min, model.input_max)):

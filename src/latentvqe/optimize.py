@@ -395,7 +395,7 @@ def staged_gate_optimize(
         if sweep_start - energy < config.tolerance:
             break
     stop = "tolerance" if sweep_start - energy < config.tolerance else "sweep_cap"
-    return {"params": params, "energy": energy, "evaluations": evaluations, "sweeps": sweeps,
+    return {"params": params, "value": energy, "evaluations": evaluations, "sweeps": sweeps,
             "stop_reason": stop}
 
 
@@ -445,7 +445,7 @@ def whole_gate_optimize(circuit: Circuit, hamiltonian, init) -> dict:
     is <= the energy at the gate's current q, and written back in place as the
     U3 angles nearest the current ones (`_u3_angles`) less each slot's offset.
     Sweeps stop when one gains less than _SWEEP_TOL ("stop_reason"
-    `tolerance`), or after _SWEEP_CAP (`sweep_cap`). "energy" is energy_fn at
+    `tolerance`), or after _SWEEP_CAP (`sweep_cap`). "value" is energy_fn at
     the result; "evaluations" is that one plus the 10 distinct entries of each M.
     """
     hmat, start = _observable(hamiltonian, circuit.n_qubits), zero_state(circuit.n_qubits)
@@ -469,9 +469,32 @@ def whole_gate_optimize(circuit: Circuit, hamiltonian, init) -> dict:
                     params[p.slot] = angle - p.offset
         if gain < _SWEEP_TOL:
             break
-    return {"params": params, "energy": energy_fn(circuit, hamiltonian, start)(params),
+    return {"params": params, "value": energy_fn(circuit, hamiltonian, start)(params),
             "evaluations": 1 + 10 * solves, "sweeps": sweeps,
             "stop_reason": "tolerance" if gain < _SWEEP_TOL else "sweep_cap"}
+
+
+def best_of_starts(solve, n_params: int, rng: np.random.Generator, restarts: int, first=None,
+                   stop_below: float = -math.inf) -> dict:
+    """The best of up to `restarts` results of solve(x0), with "evaluations" summed.
+
+    The first x0 is `first` when given, without a draw from `rng`; every other
+    x0 is rng.uniform(0, 2 pi, n_params). The lowest "value" wins, the earlier
+    start on a tie; the loop ends early once the best value is below `stop_below`.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    best, evaluations = None, 0
+    for attempt in range(restarts):
+        x0 = (np.asarray(first, dtype=float) if attempt == 0 and first is not None
+              else rng.uniform(0.0, 2.0 * math.pi, n_params))
+        res = solve(x0)
+        evaluations += res["evaluations"]
+        if best is None or res["value"] < best["value"]:
+            best = res
+        if best["value"] < stop_below:
+            break
+    return {**best, "evaluations": evaluations}
 
 
 def optimize_vqe(
@@ -481,24 +504,14 @@ def optimize_vqe(
     rng: np.random.Generator | None = None,
     initial=None,
 ) -> dict:
-    """Multi-restart Nelder-Mead VQE; first start at `initial` (if given), rest random.
-    `iterations` and `stop_reason` are the best restart's."""
+    """Nelder-Mead VQE from config.restarts starts (`best_of_starts`), the first at
+    `initial` if given: the best `minimize` result, with evaluations over all starts."""
     config = config or OptimizerConfig()
     rng = rng or np.random.default_rng(config.seed)
     cost = energy_fn(circuit, hamiltonian, zero_state(circuit.n_qubits))
-    best = None
-    evaluations = 0
-    for attempt in range(config.restarts):
-        if attempt == 0 and initial is not None:
-            x0 = np.asarray(initial, dtype=float)
-        else:
-            x0 = rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
-        res = minimize(cost, x0, config=config)
-        evaluations += res["evaluations"]
-        if best is None or res["value"] < best["value"]:
-            best = res
-    return {"params": best["params"], "energy": best["value"], "evaluations": evaluations,
-            "iterations": best["iterations"], "stop_reason": best["stop_reason"]}
+    # `minimize` is read from the module at each call, so a wrapper installed there sees it
+    return best_of_starts(lambda x0: minimize(cost, x0, config=config), circuit.n_params, rng,
+                          config.restarts, first=initial)
 
 
 # --- constrained bond-length sweep ------------------------------------------
@@ -619,11 +632,11 @@ def constrained_sweep(
         while 0 <= idx < len(hamiltonians):
             lo, hi = constraint.bounds(prev, delta)
             res = staged_gate_optimize(circuit, hamiltonians[idx], prev + delta, bounds=(lo, hi))
-            err = res["energy"] - oracle[idx]
+            err = res["value"] - oracle[idx]
             results[idx] = DatasetRecord(
                 hamiltonians[idx].bond_length,
                 res["params"],
-                res["energy"],
+                res["value"],
                 oracle[idx],
                 bool(err > 100.0 * anchor_error),
             )

@@ -8,7 +8,6 @@ PQC(theta) on the latent wires followed by the frozen decoder.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .circuit import Circuit, apply_circuit, bind_constants, inverse, simulate
 from .hamiltonian import exact_ground_energy, hamiltonian_for_distance
 from .optimize import (
     LATENT_PQC, OptimizerConfig, adam_minimize, batched_energies, batched_shift_gradient,
+    best_of_starts,
 )
 from .statevector import StateVector, partial_trace
 
@@ -113,36 +113,28 @@ def train_qae(
 ) -> QaeModel:
     """Train the 2-layer encoder on exact ground states at the given bond lengths.
 
-    Each restart runs Adam on `_trash_objective` from a fresh random start,
-    stopping below target / 10 (see `adam_minimize`). Restarts continue until
-    the best cost beats `target` or config.restarts have run; if the target was
-    missed, raises QaeTrainingError when the best cost is still above 1e-4.
+    Each of up to config.restarts random starts (`best_of_starts`) runs Adam on
+    `_trash_objective`, stopping below target / 10 (see `adam_minimize`); the
+    starts end once the best cost beats `target`. If none did, raises
+    QaeTrainingError when the best cost is still above 1e-4.
     """
     bond_lengths = tuple(float(r) for r in bond_lengths)
     if len(bond_lengths) < 2:
         raise ValueError("need at least 2 training bond lengths")
     states = training_states_for(bond_lengths)
     fun = _trash_objective(ENCODER, states)
-    rng = np.random.default_rng(config.seed)
-
-    best_params, best_cost = None, math.inf
-    for _ in range(config.restarts):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, ENCODER.n_params)
-        res = adam_minimize(fun, x0, config, stop_below=target / 10.0)
-        if res["value"] < best_cost:
-            best_cost, best_params = res["value"], res["params"]
-        if best_cost < target:
-            break
-
-    if best_cost >= target and best_cost > 1e-4:  # every restart ran
+    best = best_of_starts(lambda x0: adam_minimize(fun, x0, config, stop_below=target / 10.0),
+                          ENCODER.n_params, np.random.default_rng(config.seed), config.restarts,
+                          stop_below=target)
+    if best["value"] >= target and best["value"] > 1e-4:  # every restart ran
         raise QaeTrainingError(
-            f"trash cost {best_cost:.3e} after {config.restarts} restarts; "
+            f"trash cost {best['value']:.3e} after {config.restarts} restarts; "
             "encoder is not expressive enough"
         )
-    exact_cost = trash_cost(ENCODER, best_params, states)
+    exact_cost = trash_cost(ENCODER, best["params"], states)
     return QaeModel(
         encoder=ENCODER,
-        encoder_params=np.asarray(best_params, dtype=float),
+        encoder_params=np.asarray(best["params"], dtype=float),
         achieved_trash_infidelity=max(exact_cost, 0.0),
         training_bond_lengths=bond_lengths,
     )

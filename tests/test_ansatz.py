@@ -100,7 +100,7 @@ class TestUccsd:
             OptimizerConfig(max_iterations=3000, tolerance=1e-12),
             initial=np.zeros(3),
         )
-        assert res["energy"] - exact_ground_energy(h)["energy"] < 1e-6
+        assert res["value"] - exact_ground_energy(h)["energy"] < 1e-6
 
 
 class TestQaeEncoder:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,19 @@ class TestNnTrainCli:
         assert code == EXIT_UPSTREAM
         assert not (tmp_path / "nn.json").exists()
 
+    def test_single_bond_length_is_usage_error(self, tmp_path, capsys):
+        # what `dataset generate --grid 1:1:20` writes: 20 records at one bond length
+        dataset = self.smooth_dataset(tmp_path)
+        lines = dataset.read_text().splitlines()
+        lines[2:] = ["1," + ln.split(",", 1)[1] for ln in lines[2:]]
+        dataset.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by the zero range on the way
+            code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_USAGE
+        assert "share bond length 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "nn.json").exists()
+
     @staticmethod
     def smooth_dataset(tmp_path):
         lines = [f"# {SCHEMA_VERSION} parameter-dataset {{\"anchor_index\": 0}}",
@@ -525,7 +539,9 @@ class TestReport:
         assert err.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("malform", ["no_method", "point_without_energy", "mae_not_a_number",
-                                         "method_with_a_path", "method_starting_with_a_dot"])
+                                         "method_with_a_path", "method_starting_with_a_dot",
+                                         "n_gates_with_a_row", "n_gates_negative",
+                                         "n_params_a_float", "n_params_a_bool"])
     def test_malformed_result_is_upstream_error(self, tmp_path, malform):
         # the method names <out>_<method>.dat, so a path in it would write outside --out's folder
         work = tmp_path / "a" / "b"
@@ -541,6 +557,14 @@ class TestReport:
             doc["method"] = "../../escaped"
         elif malform == "method_starting_with_a_dot":
             doc["method"] = ".hidden"
+        elif malform == "n_gates_with_a_row":  # would add a forged row to the CSV
+            doc["n_gates"] = "3\ninjected,row,1,2"
+        elif malform == "n_gates_negative":
+            doc["n_gates"] = -1
+        elif malform == "n_params_a_float":
+            doc["n_params"] = 12.0
+        elif malform == "n_params_a_bool":
+            doc["n_params"] = True
         else:
             doc["mae"] = "small"
         p.write_text(json.dumps(doc))

@@ -183,6 +183,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(make_dataset(n=10), TrainConfig(epochs=10))
 
+    def test_single_bond_length_rejected(self):
+        # the input scaling divides by the range of bond lengths, which is 0 here
+        one = tuple(DatasetRecord(1.0, r.angles, r.energy, r.oracle_energy, False)
+                    for r in make_dataset(n=20).records)
+        with pytest.raises(ValueError, match="share bond length 1.0"):
+            train(ParameterDataset(one, 0), TrainConfig(epochs=10))
+
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(epochs=500, seed=3)
         a = train(make_dataset(), cfg)["model"]
@@ -237,6 +244,13 @@ class TestSerialization:
         doc["schema_version"] = "x"
         with pytest.raises(ValueError, match="schema"):
             model_from_json(json.dumps(doc))
+
+    def test_file_with_dataset_hash_still_loads(self):
+        # nn.json files written before the field was dropped carry "dataset_hash"
+        doc = self.small_doc()
+        assert "dataset_hash" not in doc
+        old = model_from_json(json.dumps({**doc, "dataset_hash": "0123456789abcdef"}))
+        assert model_to_json(old) == model_to_json(model_from_json(json.dumps(doc)))
 
     @staticmethod
     def small_doc():

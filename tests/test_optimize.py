@@ -10,7 +10,7 @@ from latentvqe.circuit import Circuit, Gate, Param, gate_matrix
 from latentvqe.hamiltonian import QubitHamiltonian, exact_ground_energy
 from latentvqe.optimize import (
     DatasetRecord, OptimizerConfig, ParameterDataset, StepConstraint, adam_minimize,
-    batched_shift_gradient, constrained_sweep, dataset_from_csv, dataset_to_csv,
+    batched_shift_gradient, best_of_starts, constrained_sweep, dataset_from_csv, dataset_to_csv,
     energy_fn, first_step_delta, minimize, optimize_vqe, parameter_shift_gradient,
     staged_gate_optimize, whole_gate_optimize,
 )
@@ -334,7 +334,7 @@ class TestStaged:
     def test_single_u3_reaches_global_optimum(self):
         c = Circuit(1, (Gate("U3", (0,), (Param.ref(0), Param.ref(1), Param.ref(2))),), 3)
         res = staged_gate_optimize(c, [PauliString("Z", 1.0)], np.zeros(3))
-        assert res["energy"] == pytest.approx(-1.0, abs=1e-8)
+        assert res["value"] == pytest.approx(-1.0, abs=1e-8)
 
     def test_deterministic(self):
         hams = toy_hamiltonians([0.9])
@@ -351,8 +351,8 @@ class TestStaged:
         c = strongly_entangling(2, 2)
         res = staged_gate_optimize(c, hams[0], np.full(24, 0.4))
         full = energy_fn(c, hams[0], zero_state(2))(res["params"])
-        assert res["energy"] == pytest.approx(full, abs=1e-12)
-        assert res["energy"] - exact_ground_energy(hams[0])["energy"] < 1e-6
+        assert res["value"] == pytest.approx(full, abs=1e-12)
+        assert res["value"] - exact_ground_energy(hams[0])["energy"] < 1e-6
 
     def test_rejects_slot_shared_across_gates(self):
         u3 = lambda q: Gate("U3", (q,), (Param.ref(0), Param.ref(1), Param.ref(2)))
@@ -392,9 +392,9 @@ class TestStaged:
         h = toy_hamiltonians([0.8])[0]
         cost = energy_fn(c, h, zero_state(2))
         res = staged_gate_optimize(c, h, np.full(12, 0.5))
-        assert res["energy"] == pytest.approx(cost(res["params"]), abs=1e-12)
-        assert res["energy"] < cost(np.full(12, 0.5))
-        assert res["energy"] - exact_ground_energy(h)["energy"] < 1e-3
+        assert res["value"] == pytest.approx(cost(res["params"]), abs=1e-12)
+        assert res["value"] < cost(np.full(12, 0.5))
+        assert res["value"] - exact_ground_energy(h)["energy"] < 1e-3
 
     def test_bounded_solve_stays_in_box_and_never_rises(self):
         h = toy_hamiltonians([1.1])[0]
@@ -403,7 +403,7 @@ class TestStaged:
         lo, hi = x0 - 0.2, x0 + 0.1
         res = staged_gate_optimize(c, h, x0, bounds=(lo, hi))
         assert np.all(res["params"] >= lo) and np.all(res["params"] <= hi)
-        assert res["energy"] <= energy_fn(c, h, zero_state(2))(x0)
+        assert res["value"] <= energy_fn(c, h, zero_state(2))(x0)
 
 
 _PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
@@ -508,7 +508,7 @@ class TestWholeGate:
         res = whole_gate_optimize(c, terms, np.zeros(3))
         search = min(scipy_optimize.minimize(cost, x0, method="L-BFGS-B").fun
                      for x0 in rng.uniform(0, 2 * np.pi, (40, 3)))
-        assert res["energy"] == pytest.approx(search, abs=1e-9)
+        assert res["value"] == pytest.approx(search, abs=1e-9)
         assert res["sweeps"] == 2 and res["stop_reason"] == "tolerance"
         assert res["evaluations"] == 1 + 10 * 2
 
@@ -519,9 +519,9 @@ class TestWholeGate:
             x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, 24)
             a = whole_gate_optimize(c, h, x0)
             b = whole_gate_optimize(c, h, x0)
-            assert a["params"].tobytes() == b["params"].tobytes() and a["energy"] == b["energy"]
-            assert a["energy"] <= energy_fn(c, h, zero_state(2))(x0)
-            assert a["energy"] == energy_fn(c, h, zero_state(2))(a["params"])
+            assert a["params"].tobytes() == b["params"].tobytes() and a["value"] == b["value"]
+            assert a["value"] <= energy_fn(c, h, zero_state(2))(x0)
+            assert a["value"] == energy_fn(c, h, zero_state(2))(a["params"])
             assert np.array_equal(x0, np.random.default_rng(seed).uniform(0, 2 * np.pi, 24))
 
     @pytest.mark.parametrize("x", [0.3, 0.9, 1.7, 2.6])
@@ -530,7 +530,7 @@ class TestWholeGate:
         h = toy_hamiltonians([x])[0]
         c = strongly_entangling(2, 1)
         best = min(whole_gate_optimize(c, h, np.random.default_rng(s).uniform(0, 2 * np.pi, 12))
-                   ["energy"] for s in range(5))
+                   ["value"] for s in range(5))
         assert abs(best - exact_ground_energy(h)["energy"]) < 1e-9
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -542,7 +542,7 @@ class TestWholeGate:
         x0 = np.random.default_rng(seed).uniform(0, 2 * np.pi, 12)
         shifted = whole_gate_optimize(_offset_circuit(), h, x0)
         plain = whole_gate_optimize(_offset_circuit(0.0), h, x0 + offsets)
-        assert shifted["energy"] == pytest.approx(plain["energy"], abs=1e-12)
+        assert shifted["value"] == pytest.approx(plain["value"], abs=1e-12)
 
     @pytest.mark.parametrize("solve", [staged_gate_optimize, whole_gate_optimize])
     def test_stop_reasons(self, solve, monkeypatch):
@@ -587,6 +587,80 @@ class TestWholeGate:
 
 def _sinusoid_value(coef, u):
     return coef[0] + coef[1] * np.cos(u) + coef[2] * np.sin(u)
+
+
+def reference_optimize_vqe(circuit, hamiltonian, config, rng, initial=None):
+    """The restart loop that `optimize_vqe` ran on its own: its reference."""
+    cost = energy_fn(circuit, hamiltonian, zero_state(circuit.n_qubits))
+    best, evaluations = None, 0
+    for attempt in range(config.restarts):
+        x0 = (np.asarray(initial, dtype=float) if attempt == 0 and initial is not None
+              else rng.uniform(0.0, 2.0 * math.pi, circuit.n_params))
+        res = minimize(cost, x0, config=config)
+        evaluations += res["evaluations"]
+        if best is None or res["value"] < best["value"]:
+            best = res
+    return {**best, "evaluations": evaluations}
+
+
+class TestBestOfStarts:
+    @staticmethod
+    def scripted(values):
+        """A solve whose k-th call returns values[k]; `starts` keeps each x0."""
+        starts = []
+        def solve(x0):
+            starts.append(x0)
+            return {"params": x0, "value": values[len(starts) - 1], "evaluations": len(starts)}
+        return solve, starts
+
+    @pytest.mark.parametrize("first", [None, [0.5, -1.0, 2.0]])
+    def test_first_start_draws_nothing(self, first):
+        solve, starts = self.scripted([3.0, 2.0, 1.0])
+        best_of_starts(solve, 3, np.random.default_rng(7), 3, first=first)
+        rng = np.random.default_rng(7)
+        given = [] if first is None else [np.array(first)]
+        expected = given + [rng.uniform(0.0, 2.0 * math.pi, 3) for _ in range(3 - len(given))]
+        assert [x.tobytes() for x in starts] == [x.tobytes() for x in expected]
+
+    @pytest.mark.parametrize("values, winner", [
+        ((1.0, 1.0, 1.0), 0), ((3.0, 1.0, 1.0, 2.0), 1), ((2.0, 0.5, 0.7, 0.5), 1),
+    ])
+    def test_lowest_value_wins_and_ties_keep_the_earlier_start(self, values, winner):
+        solve, starts = self.scripted(values)
+        best = best_of_starts(solve, 2, np.random.default_rng(0), len(values))
+        assert best["params"] is starts[winner] and best["value"] == values[winner]
+        assert best["evaluations"] == sum(range(1, len(values) + 1))
+
+    @pytest.mark.parametrize("stop_below, made", [(-math.inf, 4), (1.0, 3), (2.5, 2), (9.0, 1)])
+    def test_stop_below_ends_early_and_counts_only_starts_made(self, stop_below, made):
+        solve, starts = self.scripted([3.0, 2.0, 0.5, 0.1])
+        best = best_of_starts(solve, 2, np.random.default_rng(0), 4, stop_below=stop_below)
+        assert len(starts) == made
+        assert best["value"] == min([3.0, 2.0, 0.5, 0.1][:made])
+        assert best["evaluations"] == sum(range(1, made + 1))
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        solve, starts = self.scripted([1.0])
+        with pytest.raises(ValueError, match="restarts"):
+            best_of_starts(solve, 2, np.random.default_rng(0), restarts)
+        assert starts == []
+
+    @pytest.mark.parametrize("ansatz", ["uccsd", "su2"])
+    def test_optimize_vqe_matches_its_own_restart_loop(self, ansatz):
+        from latentvqe.ansatz import efficient_su2, uccsd_h2
+        from latentvqe.hamiltonian import hamiltonian_for_distance
+        h = hamiltonian_for_distance(0.9)
+        if ansatz == "uccsd":
+            circuit, initial, config = uccsd_h2(), np.zeros(3), OptimizerConfig(restarts=3)
+        else:
+            circuit, initial = efficient_su2(4, 3), None
+            config = OptimizerConfig(max_iterations=150, restarts=2)
+        ours = optimize_vqe(circuit, h, config, rng=np.random.default_rng(5), initial=initial)
+        ref = reference_optimize_vqe(circuit, h, config, np.random.default_rng(5), initial)
+        assert ours.keys() == ref.keys()
+        assert ours["params"].tobytes() == ref["params"].tobytes()
+        assert all(ours[k] == ref[k] for k in ref if k != "params")
 
 
 class TestClosedFormSolves:
@@ -687,12 +761,8 @@ class TestConstrainedSweep:
         hams = toy_hamiltonians(xs)
         circuit = strongly_entangling(2, 1)
         anchor_idx = 4
-        rng = np.random.default_rng(0)
-        best = None
-        for _ in range(6):
-            res = staged_gate_optimize(circuit, hams[anchor_idx], rng.uniform(0, 2 * np.pi, 12))
-            if best is None or res["energy"] < best["energy"]:
-                best = res
+        best = best_of_starts(lambda x0: staged_gate_optimize(circuit, hams[anchor_idx], x0),
+                              12, np.random.default_rng(0), 6)
         ds = constrained_sweep(circuit, hams, anchor_idx, best["params"],
                                StepConstraint(0.5, 0.05))
         return ds, hams, anchor_idx

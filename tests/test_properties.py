@@ -144,5 +144,5 @@ def test_staged_solve_descends_and_respects_the_ground_energy(coeffs, seed):
     res = staged_gate_optimize(circuit, terms, x0)
     floor = np.linalg.eigvalsh(kronecker_pauli_sum(terms, 2))[0]
     # the start is scored on another contraction path, so both sides carry rounding
-    assert res["energy"] <= energy_fn(circuit, terms, zero_state(2))(x0) + 1e-12
-    assert res["energy"] >= floor - 1e-12
+    assert res["value"] <= energy_fn(circuit, terms, zero_state(2))(x0) + 1e-12
+    assert res["value"] >= floor - 1e-12
