@@ -7,10 +7,14 @@
 """
 from __future__ import annotations
 
+import functools
 import math
 
+import numpy as np
+
 from .circuit import Circuit, Gate, Param
-from .hamiltonian import _ladder, _op_product
+from .hamiltonian import _ladder
+from .statevector import pauli_terms
 
 
 def strongly_entangling(n_qubits: int, layers: int) -> Circuit:
@@ -75,25 +79,10 @@ def _excitation_strings(creators: list[int], annihilators: list[int], n: int):
     All strings in one excitation commute pairwise, so the exponential
     factorizes exactly into per-string rotations.
     """
-    op = {"I" * n: 1.0 + 0j}
-    for p in creators:
-        op = _op_product(op, _ladder(p, n, True))
-    for q in reversed(annihilators):
-        op = _op_product(op, _ladder(q, n, False))
-    dagger = {"I" * n: 1.0 + 0j}
-    for q in annihilators:
-        dagger = _op_product(dagger, _ladder(q, n, True))
-    for p in reversed(creators):
-        dagger = _op_product(dagger, _ladder(p, n, False))
-
-    combined: dict[str, complex] = dict(op)
-    for s, c in dagger.items():
-        combined[s] = combined.get(s, 0) - c
+    t = functools.reduce(np.matmul, [_ladder(p, n, True) for p in creators]
+                         + [_ladder(q, n, False) for q in reversed(annihilators)])
     out = []
-    for s in sorted(combined):
-        c = combined[s]
-        if abs(c) < 1e-14:
-            continue
+    for s, c in sorted(pauli_terms(t - t.conj().T, n).items()):
         if abs(c.real) > 1e-12:
             raise AssertionError(f"excitation generator has a real component on {s}")
         out.append((s, c.imag))

@@ -2,7 +2,9 @@
 
 Pipeline: closed-form STO-3G integrals over s-type Gaussians -> symmetry
 molecular orbitals (no SCF loop needed for minimal-basis H2) -> second
-quantization over 4 spin orbitals -> Jordan-Wigner Pauli strings. The
+quantization over 4 spin orbitals -> Jordan-Wigner Pauli strings, with
+coefficients tr(P m) / 16 (`statevector.pauli_terms`) of products m of dense
+ladder matrices; every entry is 0, +-1/2 or +-i/2, so these are exact. The
 exact-diagonalization oracle runs cyclic Jacobi rotations on the dense
 16x16 matrix. What does not depend on the bond length (the STO-3G primitive
 constants, the classes of bit-equal Boys arguments, the Jordan-Wigner map as
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import SCHEMA_VERSION, require_schema
-from .statevector import PauliString, StateVector, pauli_sum_matrix
+from .statevector import PauliString, StateVector, pauli_sum_matrix, pauli_terms
 
 ANGSTROM_TO_BOHR = 1.8897259886
 COEFF_PRUNE_TOL = 1e-12
@@ -193,39 +195,13 @@ def _transform_eri(g_ao: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # --- Jordan-Wigner construction --------------------------------------------
 
-_PAULI_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
-
-
-def _string_product(a: str, b: str) -> tuple[complex, str]:
-    phase: complex = 1
-    out = []
-    for ca, cb in zip(a, b):
-        ph, c = _PAULI_PRODUCT[(ca, cb)]
-        phase *= ph
-        out.append(c)
-    return phase, "".join(out)
-
-
-def _op_product(a: dict, b: dict) -> dict:
-    out: dict[str, complex] = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            ph, s = _string_product(sa, sb)
-            out[s] = out.get(s, 0) + ca * cb * ph
-    return out
-
-
-def _ladder(p: int, n: int, create: bool) -> dict:
-    # a_p   = Z_0..Z_{p-1} (X_p + iY_p)/2 ; a+_p uses (X_p - iY_p)/2.
-    prefix = "Z" * p
-    suffix = "I" * (n - p - 1)
-    sign = -1j if create else 1j
-    return {prefix + "X" + suffix: 0.5, prefix + "Y" + suffix: 0.5 * sign}
+@functools.cache
+def _ladder(p: int, n: int, create: bool) -> np.ndarray:
+    """Dense a+_p (create) or a_p on n qubits, read-only: Z_0..Z_{p-1} (X_p -+ iY_p)/2."""
+    x, y = (pauli_sum_matrix([PauliString("Z" * p + c + "I" * (n - p - 1), 0.5)], n) for c in "XY")
+    m = x + (-1j if create else 1j) * y
+    m.flags.writeable = False
+    return m
 
 
 @functools.cache
@@ -237,27 +213,25 @@ def _jw_table():
     <pq|rs> = g_mo[p%2, r%2, q%2, s%2]; terms that break spin are zero and left
     out. Returns the sorted Pauli strings and read-only (depth, strings) tables
     of weight index and JW coefficient (real, imaginary): column j lists string
-    j's contributions in the order a term-by-term sum adds them, then zero
-    padding, so summing w[index] * coefficient row after row gives that sum bit
-    for bit (a zero weight adds a zero, which can only flip the sign of a pruned
-    zero sum). Built once per process, on first use.
+    j's contributions in term order, then zero padding, so summing w[index] *
+    coefficient row after row gives a term-by-term sum bit for bit (a zero
+    weight adds a zero, which can only flip the sign of a pruned zero sum).
     """
     n = 4
     contributions: dict[str, list] = {"I" * n: [(0, 1.0)]}
 
-    def add(op: dict, k: int):
-        for s, c in op.items():
-            if c != 0:
-                contributions.setdefault(s, []).append((k, c))
+    def add(op: np.ndarray, k: int):
+        for s, c in pauli_terms(op, n).items():
+            contributions.setdefault(s, []).append((k, c))
 
     for p, q in itertools.product(range(n), repeat=2):
         if p // 2 == q // 2:
-            add(_op_product(_ladder(p, n, True), _ladder(q, n, False)), 1 + 2 * (p % 2) + q % 2)
+            add(_ladder(p, n, True) @ _ladder(q, n, False), 1 + 2 * (p % 2) + q % 2)
     for p, q, r, s in itertools.product(range(n), repeat=4):
         if p // 2 == r // 2 and q // 2 == s // 2:
             ladders = [_ladder(i, n, c) for i, c in zip((p, q, s, r), (True, True, False, False))]
             k = 5 + 8 * (p % 2) + 4 * (r % 2) + 2 * (q % 2) + s % 2
-            add(functools.reduce(_op_product, ladders), k)
+            add(functools.reduce(np.matmul, ladders), k)
     strings = tuple(sorted(contributions))
     shape = (max(map(len, contributions.values())), len(strings))
     index, re, im = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)

@@ -689,4 +689,10 @@ def dataset_from_csv(text: str) -> ParameterDataset:
         if flag not in (0, 1) or not np.all(np.isfinite([bond, energy, oracle, *angles])):
             raise ValueError(f"dataset row needs finite numbers and a 0 or 1 flag: {ln!r}")
         records.append(DatasetRecord(bond, angles, energy, oracle, bool(flag)))
-    return ParameterDataset(tuple(records), int(meta["anchor_index"]))
+    if len(header) - 4 != LATENT_PQC.n_params:
+        raise ValueError(f"dataset has {len(header) - 4} angle columns; the latent PQC takes "
+                         f"{LATENT_PQC.n_params}")
+    anchor = meta.get("anchor_index") if isinstance(meta, dict) else None
+    if isinstance(anchor, bool) or not isinstance(anchor, int):
+        raise ValueError(f"anchor_index must be a JSON integer, got {anchor!r}")
+    return ParameterDataset(tuple(records), anchor)

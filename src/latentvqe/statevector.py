@@ -7,6 +7,7 @@ values are exact contractions (no sampling).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,3 +177,24 @@ def pauli_sum_matrix(terms, n_qubits: int) -> np.ndarray:
     out.ravel()[entries] = (np.array([t.coefficient for t in terms], dtype=float)[term]
                             * phase).sum(axis=0, initial=0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _trace_table(n_qubits: int):
+    """All 4^n strings, sorted, and read-only (4^n, 2^n) tables of the entries j * 2^n + flipped[j]
+    and phases of `_pauli_action` that tr(P m) sums; built once per n, on first use."""
+    dim = 1 << n_qubits
+    strings = tuple(map("".join, itertools.product(_PAULI_CHARS, repeat=n_qubits)))
+    idx, flipped, phase = map(np.array, zip(*(_pauli_action(ops, dim) for ops in strings)))
+    entries = idx * dim + flipped
+    entries.flags.writeable = phase.flags.writeable = False
+    return strings, entries, phase
+
+
+def pauli_terms(matrix: np.ndarray, n_qubits: int) -> dict[str, complex]:
+    """{P: tr(P m) / 2^n} over the strings with a nonzero coefficient; inverts `pauli_sum_matrix`."""
+    if matrix.shape != (1 << n_qubits,) * 2:
+        raise ValueError(f"matrix of shape {matrix.shape} does not act on {n_qubits} qubits")
+    strings, entries, phase = _trace_table(n_qubits)
+    coeffs = (matrix.ravel()[entries] * phase).sum(axis=1) / (1 << n_qubits)
+    return {ops: c for ops, c in zip(strings, coeffs.tolist()) if c != 0}

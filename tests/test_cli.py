@@ -8,6 +8,7 @@ from latentvqe import hamiltonian, mlp
 from latentvqe.ansatz import qae_encoder
 from latentvqe.artifacts import SCHEMA_VERSION
 from latentvqe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, build_parser, main
+from latentvqe.optimize import LATENT_PQC
 from latentvqe.qae import QaeModel, qae_to_dict
 
 
@@ -409,14 +410,24 @@ class TestNnTrainCli:
         assert not (tmp_path / "nn.json").exists()
 
     @staticmethod
-    def smooth_dataset(tmp_path):
+    def smooth_dataset(tmp_path, n_angles=LATENT_PQC.n_params):
         lines = [f"# {SCHEMA_VERSION} parameter-dataset {{\"anchor_index\": 0}}",
-                 "bond_length,energy,oracle_energy,flag,theta_0,theta_1"]
+                 ",".join(["bond_length,energy,oracle_energy,flag"]
+                          + [f"theta_{k}" for k in range(n_angles)])]
         for r in np.linspace(0.5, 1.5, 22):
-            lines.append(f"{r:.17g},-1.0,-1.0,0,{np.sin(r):.17g},{0.3 * r:.17g}")
+            angles = ",".join(f"{np.sin(r + 0.5 * k):.17g}" for k in range(n_angles))
+            lines.append(f"{r:.17g},-1.0,-1.0,0,{angles}")
         dataset = tmp_path / "ds.csv"
         dataset.write_text("\n".join(lines) + "\n")
         return dataset
+
+    def test_dataset_of_another_width_is_upstream_error(self, tmp_path, capsys):
+        # the schema tag fixes the latent PQC; a model for 3 angles would only fail at nn eval
+        dataset = self.smooth_dataset(tmp_path, n_angles=3)
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
+        assert "the latent PQC takes 12" in capsys.readouterr().err
+        assert not (tmp_path / "nn.json").exists()
 
     def test_manifest_records_stop_reason(self, tmp_path, capsys):
         out = tmp_path / "nn.json"
@@ -442,6 +453,16 @@ class TestNnTrainCli:
         dataset.write_text(text)
         code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
         assert code == EXIT_UPSTREAM
+
+    @pytest.mark.parametrize("anchor", ["1.7", "true", '"1"', "null"])
+    def test_anchor_index_not_an_integer_is_upstream_error(self, tmp_path, capsys, anchor):
+        dataset = self.smooth_dataset(tmp_path)
+        text = dataset.read_text().replace('{"anchor_index": 0}', f'{{"anchor_index": {anchor}}}')
+        dataset.write_text(text)
+        code = run("nn", "train", "--dataset", dataset, "--out", tmp_path / "nn.json")
+        assert code == EXIT_UPSTREAM
+        assert "anchor_index must be a JSON integer" in capsys.readouterr().err
+        assert not (tmp_path / "nn.json").exists()
 
     @pytest.mark.parametrize("truncation", ["schema_line_only", "short_row",
                                             "rows_narrower_than_header"])

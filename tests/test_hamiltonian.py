@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -11,11 +12,11 @@ from latentvqe import hamiltonian
 from latentvqe.artifacts import canonical_json
 from latentvqe.hamiltonian import (
     _STO3G_COEFFS, _STO3G_EXPONENTS, ANGSTROM_TO_BOHR, COEFF_PRUNE_TOL, JacobiConvergenceError,
-    QubitHamiltonian, _boys_classes, _ladder, _op_product, _prim_norm, _transform_eri,
+    QubitHamiltonian, _boys_classes, _ladder, _prim_norm, _transform_eri,
     build_qubit_hamiltonian, exact_ground_energy, hamiltonian_for_distance,
     hamiltonian_from_json, hamiltonian_to_dict, jacobi_eigh, sto3g_integrals,
 )
-from latentvqe.statevector import PauliString, StateVector, expectation
+from latentvqe.statevector import PauliString, StateVector, expectation, pauli_terms
 from test_properties import kronecker_pauli_sum
 
 GRID = np.linspace(0.3, 2.85, 25)
@@ -131,39 +132,41 @@ def reference_jordan_wigner_terms(h_so, v_so, e_nuc):
     n = h_so.shape[0]
     total = {"I" * n: complex(e_nuc)}
 
-    def accumulate(op, weight):
-        for s, c in op.items():
+    def accumulate(ladders, weight):
+        for s, c in pauli_terms(functools.reduce(np.matmul, ladders), n).items():
             total[s] = total.get(s, 0) + weight * c
 
     for p in range(n):
         for q in range(n):
             if abs(h_so[p, q]) > 0:
-                accumulate(_op_product(_ladder(p, n, True), _ladder(q, n, False)), h_so[p, q])
+                accumulate([_ladder(p, n, True), _ladder(q, n, False)], h_so[p, q])
     for p, q, r, s in np.ndindex(n, n, n, n):
         w = v_so[p, q, r, s]
         if abs(w) > 0:
-            op = _op_product(_ladder(p, n, True), _ladder(q, n, True))
-            op = _op_product(op, _ladder(s, n, False))
-            op = _op_product(op, _ladder(r, n, False))
-            accumulate(op, 0.5 * w)
+            ladders = [_ladder(i, n, c) for i, c in zip((p, q, s, r), (True, True, False, False))]
+            accumulate(ladders, 0.5 * w)
     return total
 
 
-def fock_space_matrix(h_so, v_so, e_nuc):
-    """H on the 2^n occupation-number states, with no Pauli algebra.
+def occupation_lowering(p, n):
+    """a_p on the 2^n occupation-number states, with no Pauli algebra.
 
     Bit p of a basis index is the occupation of spin orbital p; a_p empties
     orbital p with the sign (-1)^(number of occupied orbitals below p).
     """
+    dim = 1 << n
+    a = np.zeros((dim, dim))
+    for state in range(dim):
+        if state >> p & 1:
+            a[state ^ (1 << p), state] = (-1) ** bin(state & ((1 << p) - 1)).count("1")
+    return a
+
+
+def fock_space_matrix(h_so, v_so, e_nuc):
+    """H on the 2^n occupation-number states (`occupation_lowering`), with no Pauli algebra."""
     n = h_so.shape[0]
     dim = 1 << n
-    lower = []
-    for p in range(n):
-        a = np.zeros((dim, dim))
-        for state in range(dim):
-            if state >> p & 1:
-                a[state ^ (1 << p), state] = (-1) ** bin(state & ((1 << p) - 1)).count("1")
-        lower.append(a)
+    lower = [occupation_lowering(p, n) for p in range(n)]
     raise_ = [a.T for a in lower]
     h = e_nuc * np.eye(dim)
     for p, q in np.ndindex(n, n):
@@ -234,6 +237,31 @@ class TestAgainstReferenceBuild:
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
+
+
+class TestLadder:
+    # the dense JW ladders from which the Hamiltonian and the UCCSD generators are read
+    N = 4
+
+    def test_canonical_anticommutation_relations(self):
+        # {a_p, a+_q} = delta_pq I and {a_p, a_q} = 0, exactly: the Z strings give the signs
+        eye = np.eye(1 << self.N)
+        for p, q in np.ndindex(self.N, self.N):
+            a_p, a_q, c_q = (_ladder(i, self.N, c) for i, c in ((p, False), (q, False), (q, True)))
+            assert np.array_equal(a_p @ c_q + c_q @ a_p, eye * (p == q))
+            assert not np.any(a_p @ a_q + a_q @ a_p)
+
+    @pytest.mark.parametrize("p", range(N))
+    def test_matches_occupation_number_operator(self, p):
+        a = _ladder(p, self.N, False)
+        assert np.array_equal(a, occupation_lowering(p, self.N))
+        assert np.array_equal(_ladder(p, self.N, True), a.conj().T)
+
+    def test_cached_and_read_only(self):
+        a = _ladder(1, self.N, True)
+        assert _ladder(1, self.N, True) is a
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def boys_arguments(bond_length: float):

@@ -853,6 +853,19 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="header names 7"):
             dataset_from_csv("\n".join(head + [row]) + "\n")
 
+    def test_width_must_be_the_latent_pqcs(self):
+        # a well-formed file of 3 angles: the schema tag fixes the 12-angle latent PQC
+        ds = ParameterDataset((DatasetRecord(0.5, np.zeros(3), -1.0, -1.0, False),), 0)
+        with pytest.raises(ValueError, match="3 angle columns; the latent PQC takes 12"):
+            dataset_from_csv(dataset_to_csv(ds))
+
+    @pytest.mark.parametrize("anchor", ["1.7", "true", '"1"', "null"])
+    def test_anchor_index_must_be_a_json_integer(self, anchor):
+        ds = ParameterDataset((DatasetRecord(0.5, np.zeros(12), -1.0, -1.0, False),), 0)
+        text = dataset_to_csv(ds).replace('"anchor_index":0', f'"anchor_index":{anchor}')
+        with pytest.raises(ValueError, match="anchor_index must be a JSON integer"):
+            dataset_from_csv(text)
+
     @pytest.mark.parametrize("anchor", [-1, 2])
     def test_anchor_index_inside_records(self, anchor):
         records = tuple(DatasetRecord(0.5 + 0.1 * i, np.zeros(3), -1.0, -1.0) for i in range(2))

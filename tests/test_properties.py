@@ -8,9 +8,10 @@ from latentvqe.ansatz import strongly_entangling
 from latentvqe.circuit import (
     PARAM_ARITY, Circuit, Gate, Param, apply_circuit, apply_gates, inverse, simulate,
 )
-from latentvqe.hamiltonian import _string_product
 from latentvqe.optimize import batched_shift_gradient, energy_fn, staged_gate_optimize
-from latentvqe.statevector import PauliString, StateVector, pauli_sum_matrix, zero_state
+from latentvqe.statevector import (
+    PauliString, StateVector, pauli_sum_matrix, pauli_terms, zero_state,
+)
 
 N_QUBITS = 3
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -116,11 +117,18 @@ def kronecker_pauli_sum(terms, n_qubits):
 
 
 @settings(max_examples=200, deadline=None)
-@given(pauli_strings, pauli_strings)
-def test_string_product_matches_dense_product(a, b):
-    dense = lambda ops: kronecker_pauli_sum([PauliString(ops)], len(ops))
-    phase, ops = _string_product(a, b)
-    np.testing.assert_array_equal(dense(a) @ dense(b), phase * dense(ops))
+@given(st.dictionaries(pauli_strings, finite, max_size=8), st.booleans())
+def test_pauli_terms_inverts_pauli_sum_matrix(coeffs, dyadic):
+    # exact for multiples of 1/8, whose sums and traces / 2^n are exact; 1e-12 otherwise
+    if dyadic:
+        coeffs = {ops: round(c * 8) / 8 for ops, c in coeffs.items()}
+    m = pauli_sum_matrix([PauliString(ops, c) for ops, c in coeffs.items()], N_QUBITS)
+    got = pauli_terms(m, N_QUBITS)
+    expected = {ops: c for ops, c in coeffs.items() if c != 0}
+    if dyadic:
+        assert got == expected
+    for ops in set(got) | set(expected):
+        assert abs(got.get(ops, 0) - expected.get(ops, 0)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,7 +14,7 @@ from latentvqe.hamiltonian import (
 )
 from latentvqe.statevector import (
     PauliString, StateVector, _apply_1q, _pauli_action, expectation, partial_trace,
-    pauli_sum_matrix, zero_state,
+    pauli_sum_matrix, pauli_terms, zero_state,
 )
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -229,6 +229,15 @@ class TestPauliSumMatrix:
         assert pauli_sum_matrix([], 2).tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
         with pytest.raises(ValueError, match="length"):
             pauli_sum_matrix([PauliString("ZZ", 1.0), PauliString("Z", 1.0)], 2)
+
+
+class TestPauliTerms:
+    # the round trip through pauli_sum_matrix is a property test in test_properties.py
+    def test_identity_and_shape_check(self):
+        assert pauli_terms(np.eye(8), 3) == {"III": 1}
+        assert pauli_terms(np.zeros((4, 4)), 2) == {}
+        with pytest.raises(ValueError, match="3 qubits"):
+            pauli_terms(np.eye(4), 3)
 
 
 class TestPauliStringValidation:
