@@ -78,7 +78,7 @@ def _read_artifact(path: Path, loader, what: str):
         raise UpstreamArtifactError(f"{what} not found: {path}")
     try:
         return loader(path.read_text())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise UpstreamArtifactError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -104,7 +104,7 @@ def _write_manifest(out: Path, command: str, config: dict, inputs, outputs, seed
     _write_json(Path(str(out) + ".manifest.json"), manifest)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, count = spec.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -112,7 +112,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {spec!r}") from exc
     if count < 1 or stop < start:
         raise argparse.ArgumentTypeError(f"invalid grid {spec!r}")
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, count).tolist()
 
 
 def _checked(convert, ok, need: str):
@@ -136,19 +136,18 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number above 0
 def cmd_ham_build(args):
     out = Path(args.out)
     if args.grid is not None:
-        grid = args.grid
-        files = [f"ham_{i:03d}.json" for i in range(len(grid))]
-        for r, name in zip(grid, files):
-            _write_json(out / name, hamiltonian_to_dict(hamiltonian_for_distance(float(r))))
+        files = [f"ham_{i:03d}.json" for i in range(len(args.grid))]
+        for r, name in zip(args.grid, files):
+            _write_json(out / name, hamiltonian_to_dict(hamiltonian_for_distance(r)))
         index = {
             "schema_version": SCHEMA_VERSION,
             "kind": "hamiltonian-grid",
-            "bond_lengths_angstrom": [float(r) for r in grid],
+            "bond_lengths_angstrom": args.grid,
             "files": files,
         }
         _write_json(out / "index.json", index)
         outputs = [out / f for f in files] + [out / "index.json"]
-        return out / "index.json", {"grid": [float(r) for r in grid]}, [], outputs, None
+        return out / "index.json", {"grid": args.grid}, [], outputs, None
     _write_json(out, hamiltonian_to_dict(hamiltonian_for_distance(args.distance)))
     return out, {"distance": args.distance}, [], [out], None
 
@@ -177,6 +176,15 @@ def _load_ham_points(path: Path):
 
 # --- vqe run -----------------------------------------------------------------
 
+def _result_doc(kind: str, method: str, circuit, seed: int, points: list, **extra) -> dict:
+    """The one result format, written by `vqe run` and `nn eval` and read by `report`."""
+    counts = resource_counts(circuit)
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "method": method,
+            "mae": float(np.mean([abs(p["error"]) for p in points])),
+            "n_gates": counts["n_gates"], "n_params": counts["n_params"],
+            "seed": seed, "points": points, **extra}
+
+
 def _latent_circuit_from(args):
     if not args.qae:
         raise UpstreamArtifactError("--ansatz latent requires --qae MODEL_PATH")
@@ -187,8 +195,11 @@ def cmd_vqe_run(args):
     if args.ansatz == "latent" and args.max_iterations is not None:
         raise ValueError("--max-iterations bounds the Nelder-Mead simplex of uccsd/su2 only; "
                          "the whole-gate latent solve does not take it")
+    if args.ansatz != "latent" and args.qae is not None:
+        raise ValueError(f"--qae names the QAE model of the latent ansatz; {args.ansatz} "
+                         "does not take it")
     points, point_files = _load_ham_points(Path(args.ham))
-    inputs = [args.ham] + point_files + ([args.qae] if args.ansatz == "latent" else [])
+    inputs = [args.ham] + point_files + ([args.qae] if args.qae else [])
 
     if args.ansatz == "uccsd":
         circuit = uccsd_h2()
@@ -200,9 +211,6 @@ def cmd_vqe_run(args):
         if h.n_qubits != circuit.n_qubits:
             raise UpstreamArtifactError(f"hamiltonian at R={bond} acts on {h.n_qubits} "
                                         f"qubits, the {args.ansatz} circuit on {circuit.n_qubits}")
-    # the latent circuit counts only its PQC; the decoder is frozen
-    counts = resource_counts(LATENT_PQC if args.ansatz == "latent" else circuit)
-
     method = "whole-gate" if args.ansatz == "latent" else "nm"
     budget = {} if args.max_iterations is None else {"max_iterations": args.max_iterations}
     config = OptimizerConfig(restarts=args.restarts, **budget)
@@ -228,19 +236,11 @@ def cmd_vqe_run(args):
             "evaluations": res["evaluations"],
         })
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "vqe-result",
-        "method": args.ansatz,
-        "optimizer": method,
-        "mae": float(np.mean([abs(r["error"]) for r in results])),
-        "n_gates": counts["n_gates"],
-        "n_params": counts["n_params"],
-        "seed": args.seed,
-        "points": results,
-    }
     out = Path(args.out)
-    _write_json(out, doc)
+    # the latent circuit counts only its PQC; the decoder is frozen
+    _write_json(out, _result_doc("vqe-result", args.ansatz,
+                                 LATENT_PQC if args.ansatz == "latent" else circuit,
+                                 args.seed, results, optimizer=method))
     return (out, {"ansatz": args.ansatz, "optimizer": method, "restarts": args.restarts},
             inputs, [out], {"points": stops})
 
@@ -262,12 +262,9 @@ def cmd_qae_train(args):
 # --- dataset generate ----------------------------------------------------------
 
 def cmd_dataset_generate(args):
-    model = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
-    circuit = latent_vqe_circuit(model)
-
-    grid = args.grid
-    anchor_idx = int(np.argmin(np.abs(grid - args.anchor)))
-    hams = [hamiltonian_for_distance(float(r)) for r in grid]
+    circuit = _latent_circuit_from(args)
+    anchor_idx = int(np.argmin(np.abs(np.subtract(args.grid, args.anchor))))
+    hams = [hamiltonian_for_distance(r) for r in args.grid]
     best = best_of_starts(lambda x0: staged_gate_optimize(circuit, hams[anchor_idx], x0),
                           circuit.n_params, named_rng(args.seed, "dataset/anchor"), args.restarts)
     dataset = constrained_sweep(circuit, hams, anchor_idx, best["params"],
@@ -276,7 +273,7 @@ def cmd_dataset_generate(args):
     _write(out, dataset_to_csv(dataset))
     flags = sum(r.flag for r in dataset.records)
     print(f"anchor error: {dataset.records[anchor_idx].error:.3e}; flagged points: {flags}")
-    return (out, {"grid": [float(r) for r in grid], "anchor": float(grid[anchor_idx]),
+    return (out, {"grid": args.grid, "anchor": args.grid[anchor_idx],
                   "alpha": args.alpha, "gamma": args.gamma, "restarts": args.restarts},
             [args.qae], [out], None)
 
@@ -307,10 +304,7 @@ def cmd_nn_eval(args):
         raise UpstreamArtifactError(f"MLP model {args.model} predicts {model.layer_sizes[-1]} "
                                     f"angles; the latent PQC takes {LATENT_PQC.n_params}")
     qmodel = _read_artifact(Path(args.qae), qae_from_json, "QAE model")
-    grid = args.grid
-    ev = mlp.evaluate_energy_mae(model, qmodel, [float(r) for r in grid])
-
-    pqc_counts = resource_counts(LATENT_PQC)
+    ev = mlp.evaluate_energy_mae(model, qmodel, args.grid)
     lines = ["bond_length,energy,oracle_energy,abs_error"]
     for p in ev["per_point_errors"]:
         lines.append(
@@ -319,24 +313,21 @@ def cmd_nn_eval(args):
         )
     out = Path(args.out)
     _write(out, "\n".join(lines) + "\n")
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "nn-eval-summary",
-        "method": "nn-ae-vqe",
-        "mae": ev["mae"],
-        "n_gates": pqc_counts["n_gates"],
-        "n_params": pqc_counts["n_params"],
-        "seed": args.seed,
-        "points": ev["per_point_errors"],
-    }
     summary_path = Path(str(out) + ".summary.json")
-    _write_json(summary_path, summary)
+    _write_json(summary_path, _result_doc("nn-eval-summary", "nn-ae-vqe", LATENT_PQC, args.seed,
+                                          ev["per_point_errors"]))
     print(f"energy MAE: {ev['mae']:.3e}")
-    return (out, {"grid": [float(r) for r in grid]}, [args.model, args.qae],
-            [out, summary_path], None)
+    return out, {"grid": args.grid}, [args.model, args.qae], [out, summary_path], None
 
 
 # --- report -------------------------------------------------------------------
+
+def _finite(value, key: str) -> float:
+    """`value` if it is a finite JSON number; not a bool or a string, which float() takes."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
 
 def _result_row(text: str) -> dict:
     """The fields of a vqe-result or nn-eval-summary file that `report` reads."""
@@ -352,8 +343,8 @@ def _result_row(text: str) -> dict:
     for key, value in counts.items():
         if type(value) is not int or value < 0:  # also bool; it is written into the CSV as is
             raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
-    return {"method": method, "mae": float(doc["mae"]), **counts,
-            "points": [(float(p["bond_length"]), float(p["energy"]))
+    return {"method": method, "mae": _finite(doc["mae"], "mae"), **counts,
+            "points": [(_finite(p["bond_length"], "bond_length"), _finite(p["energy"], "energy"))
                        for p in doc.get("points") or []]}
 
 
@@ -364,12 +355,11 @@ def cmd_report(args):
         if methods.count(method) > 1:  # each method's points go to one <out>_<method>.dat
             raise ValueError(f"more than one result file has method {method!r}")
     out = Path(args.out)
-    csv_lines = ["method,mae,n_gates,n_params"]
-    for r in rows:
-        csv_lines.append(f"{r['method']},{r['mae']:.17g},{r['n_gates']},{r['n_params']}")
+    headers = ("method", "mae", "n_gates", "n_params")
+    csv_lines = [",".join(headers)]
+    csv_lines += [f"{r['method']},{r['mae']:.17g},{r['n_gates']},{r['n_params']}" for r in rows]
     _write(out, "\n".join(csv_lines) + "\n")
 
-    headers = ("method", "mae", "n_gates", "n_params")
     cells = [[r["method"], f"{r['mae']:.6e}", str(r["n_gates"]), str(r["n_params"])] for r in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
     table = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
@@ -398,20 +388,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compressed-ansatz VQE pipeline for H2 (statevector simulation)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command but report takes these two; report has its own --out and no seed
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", required=True)
+
+    def command(group, name: str, fn, help: str) -> argparse.ArgumentParser:
+        cmd = group.add_parser(name, parents=[common], help=help)
+        cmd.set_defaults(fn=fn)
+        return cmd
 
     ham = sub.add_parser("ham", help="Hamiltonian artifacts").add_subparsers(
         dest="subcommand", required=True)
-    build = ham.add_parser("build", help="build qubit Hamiltonian file(s)")
+    build = command(ham, "build", cmd_ham_build, "build qubit Hamiltonian file(s)")
     g = build.add_mutually_exclusive_group(required=True)
     g.add_argument("--distance", type=float, help="bond length in Angstrom")
     g.add_argument("--grid", type=_parse_grid, help="start:stop:count in Angstrom")
-    build.add_argument("--out", required=True)
-    build.add_argument("--seed", type=int, default=0)
-    build.set_defaults(fn=cmd_ham_build)
 
     vqe = sub.add_parser("vqe", help="variational runs").add_subparsers(
         dest="subcommand", required=True)
-    run = vqe.add_parser("run", help="optimize an ansatz against a Hamiltonian file")
+    run = command(vqe, "run", cmd_vqe_run, "optimize an ansatz against a Hamiltonian file")
     run.add_argument("--ansatz", choices=("uccsd", "su2", "latent"), required=True)
     run.add_argument("--ham", required=True)
     run.add_argument("--qae", help="QAE model path (latent ansatz only)")
@@ -419,53 +415,39 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iterations", type=int, default=None,
                      help="Nelder-Mead budget per start for uccsd/su2 "
                           f"(default {OptimizerConfig().max_iterations})")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", required=True)
-    run.set_defaults(fn=cmd_vqe_run)
 
     qae_p = sub.add_parser("qae", help="quantum autoencoder").add_subparsers(
         dest="subcommand", required=True)
-    qtrain = qae_p.add_parser("train", help="train the 4->2 encoder on ground states")
+    qtrain = command(qae_p, "train", cmd_qae_train, "train the 4->2 encoder on ground states")
     qtrain.add_argument("--bond-lengths",
                         default=",".join(str(r) for r in DEFAULT_TRAINING_BOND_LENGTHS))
     qtrain.add_argument("--target", type=_POSITIVE, default=QAE_TARGET)
     qtrain.add_argument("--restarts", type=_RESTARTS, default=QAE_CONFIG.restarts)
     qtrain.add_argument("--max-iterations", type=int, default=QAE_CONFIG.max_iterations)
-    qtrain.add_argument("--seed", type=int, default=0)
-    qtrain.add_argument("--out", required=True)
-    qtrain.set_defaults(fn=cmd_qae_train)
 
     ds = sub.add_parser("dataset", help="training data").add_subparsers(
         dest="subcommand", required=True)
-    gen = ds.add_parser("generate", help="constrained sweep over the bond-length grid")
+    gen = command(ds, "generate", cmd_dataset_generate,
+                  "constrained sweep over the bond-length grid")
     gen.add_argument("--qae", required=True)
     gen.add_argument("--grid", type=_parse_grid, default=_parse_grid("0.3:2.85:100"))
     gen.add_argument("--anchor", type=_FINITE, default=0.735)
     gen.add_argument("--alpha", type=float, default=StepConstraint().alpha)
     gen.add_argument("--gamma", type=float, default=StepConstraint().gamma)
     gen.add_argument("--restarts", type=_RESTARTS, default=10)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(fn=cmd_dataset_generate)
 
     nn = sub.add_parser("nn", help="angle predictor").add_subparsers(
         dest="subcommand", required=True)
-    ntrain = nn.add_parser("train", help="fit the MLP on a parameter dataset")
+    ntrain = command(nn, "train", cmd_nn_train, "fit the MLP on a parameter dataset")
     ntrain.add_argument("--dataset", required=True)
     ntrain.add_argument("--epochs", type=int, default=mlp.TrainConfig().epochs,
                         help="L-BFGS iteration cap; training stops earlier once every "
                              f"loss-gradient component is at most {mlp.GRADIENT_TOL:g}")
     ntrain.add_argument("--train-fraction", type=float, default=mlp.TrainConfig().train_fraction)
-    ntrain.add_argument("--seed", type=int, default=0)
-    ntrain.add_argument("--out", required=True)
-    ntrain.set_defaults(fn=cmd_nn_train)
-    neval = nn.add_parser("eval", help="energy errors of predicted angles")
+    neval = command(nn, "eval", cmd_nn_eval, "energy errors of predicted angles")
     neval.add_argument("--model", required=True)
     neval.add_argument("--qae", required=True)
     neval.add_argument("--grid", type=_parse_grid, required=True)
-    neval.add_argument("--seed", type=int, default=0)
-    neval.add_argument("--out", required=True)
-    neval.set_defaults(fn=cmd_nn_eval)
 
     rep = sub.add_parser("report", help="merge result files into a comparison table")
     rep.add_argument("results", nargs="+")

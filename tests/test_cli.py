@@ -7,7 +7,9 @@ import pytest
 from latentvqe import hamiltonian, mlp
 from latentvqe.ansatz import qae_encoder
 from latentvqe.artifacts import SCHEMA_VERSION
-from latentvqe.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, build_parser, main
+from latentvqe.cli import (
+    EXIT_NUMERICAL, EXIT_OK, EXIT_UPSTREAM, EXIT_USAGE, _result_row, build_parser, main,
+)
 from latentvqe.optimize import LATENT_PQC
 from latentvqe.qae import QaeModel, qae_to_dict
 
@@ -30,6 +32,36 @@ def test_option_defaults():
     assert (d.anchor, d.alpha, d.gamma, d.restarts) == (0.735, 0.5, 0.05, 10)
     n = parsed("nn", "train", "--dataset", "ds.csv")
     assert (n.epochs, n.train_fraction) == (60000, 0.7)
+
+
+SEEDED_COMMANDS = {
+    "ham_build": ["ham", "build", "--distance", "0.735"],
+    "vqe_run": ["vqe", "run", "--ansatz", "su2", "--ham", "ham.json"],
+    "qae_train": ["qae", "train"],
+    "dataset_generate": ["dataset", "generate", "--qae", "qae.json"],
+    "nn_train": ["nn", "train", "--dataset", "ds.csv"],
+    "nn_eval": ["nn", "eval", "--model", "nn.json", "--qae", "qae.json", "--grid", "0.6:1.2:3"],
+}
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS.values(), ids=SEEDED_COMMANDS.keys())
+def test_seed_defaults_to_0_and_out_is_required(command, capsys):
+    # one declaration serves all six commands
+    args = build_parser().parse_args([*command, "--out", "x"])
+    assert (args.seed, args.out) == (0, "x")
+    assert build_parser().parse_args([*command, "--seed", "7", "--out", "x"]).seed == 7
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(command)
+    assert err.value.code == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+
+
+def test_report_takes_out_and_no_seed(capsys):
+    args = build_parser().parse_args(["report", "r.json", "--out", "t.csv"])
+    assert args.out == "t.csv" and not hasattr(args, "seed")
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(["report", "r.json", "--seed", "1", "--out", "t.csv"])
+    assert err.value.code == EXIT_USAGE
 
 
 @pytest.mark.parametrize("command", [
@@ -248,6 +280,16 @@ class TestVqeRun:
                    "--max-iterations", 50, "--out", out)
         assert code == EXIT_USAGE
         assert "--max-iterations" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ansatz", ["uccsd", "su2"])
+    def test_baselines_reject_qae(self, ham, tmp_path, capsys, ansatz):
+        # the flag loads the latent ansatz's model; uccsd and su2 would ignore it
+        out = tmp_path / "x.json"
+        code = run("vqe", "run", "--ansatz", ansatz, "--ham", ham,
+                   "--qae", tmp_path / "missing.json", "--out", out)
+        assert code == EXIT_USAGE
+        assert "--qae" in capsys.readouterr().err
         assert not out.exists()
 
     def test_max_iterations_bounds_the_simplex(self, ham, tmp_path):
@@ -523,6 +565,64 @@ class TestNnEvalCli:
         assert self.evaluate(tmp_path, qae_doc, doc) == EXIT_UPSTREAM
 
 
+class TestResultFile:
+    """`vqe run` and `nn eval` write one result format, the one `report` reads."""
+
+    @staticmethod
+    def check(path, kind, method, n_gates, n_params, seed):
+        doc = json.loads(path.read_text())
+        assert (doc["kind"], doc["seed"]) == (kind, seed)
+        assert _result_row(path.read_text()) == {
+            "method": method,
+            "mae": float(np.mean([abs(p["error"]) for p in doc["points"]])),
+            "n_gates": n_gates,
+            "n_params": n_params,
+            "points": [(p["bond_length"], p["energy"]) for p in doc["points"]],
+        }
+
+    @pytest.mark.parametrize("ansatz, options, n_gates, n_params", [
+        ("uccsd", [], 190, 3),
+        ("su2", ["--max-iterations", 5], 50, 32),
+        ("latent", ["--restarts", 1], 6, 12),   # the PQC only; the decoder is frozen
+    ])
+    def test_vqe_run(self, ham, qae_doc, tmp_path, ansatz, options, n_gates, n_params):
+        if ansatz == "latent":
+            (tmp_path / "qae.json").write_text(json.dumps(qae_doc))
+            options = [*options, "--qae", tmp_path / "qae.json"]
+        out = tmp_path / f"{ansatz}.json"
+        assert run("vqe", "run", "--ansatz", ansatz, "--ham", ham, *options,
+                   "--seed", 4, "--out", out) == EXIT_OK
+        self.check(out, "vqe-result", ansatz, n_gates, n_params, seed=4)
+
+    def test_nn_eval(self, qae_doc, tmp_path):
+        assert TestNnEvalCli.evaluate(tmp_path, qae_doc, mlp_doc(12)) == EXIT_OK
+        self.check(tmp_path / "eval.csv.summary.json", "nn-eval-summary", "nn-ae-vqe", 6, 12,
+                   seed=0)
+
+
+@pytest.mark.parametrize("command, manifest", [
+    (["ham", "build", "--out", "{tmp}/grid"], "grid/index.json.manifest.json"),
+    (["dataset", "generate", "--qae", "{tmp}/qae.json", "--restarts", "1",
+      "--out", "{tmp}/ds.csv"], "ds.csv.manifest.json"),
+    (["nn", "eval", "--model", "{tmp}/nn.json", "--qae", "{tmp}/qae.json",
+      "--out", "{tmp}/eval.csv"], "eval.csv.manifest.json"),
+], ids=["ham_build", "dataset_generate", "nn_eval"])
+def test_manifest_grid_is_the_linspace(tmp_path, qae_doc, command, manifest):
+    (tmp_path / "qae.json").write_text(json.dumps(qae_doc))
+    (tmp_path / "nn.json").write_text(json.dumps(mlp_doc(12)))
+    argv = [a.format(tmp=tmp_path) for a in command]
+    assert run(*argv, "--grid", "0.5:0.8:4") == EXIT_OK
+    grid = np.linspace(0.5, 0.8, 4).tolist()
+    assert grid[2] == 0.7000000000000001   # linspace's own float, not 0.7
+    config = json.loads((tmp_path / manifest).read_text())["config"]
+    assert config["grid"] == grid
+    if command[0] == "ham":
+        index = json.loads((tmp_path / "grid" / "index.json").read_text())
+        assert index["bond_lengths_angstrom"] == grid
+    if command[0] == "dataset":
+        assert config["anchor"] == grid[2]   # the grid point nearest 0.735
+
+
 class TestReport:
     def _result(self, path, method, mae, points=None):
         doc = {
@@ -562,7 +662,10 @@ class TestReport:
     @pytest.mark.parametrize("malform", ["no_method", "point_without_energy", "mae_not_a_number",
                                          "method_with_a_path", "method_starting_with_a_dot",
                                          "n_gates_with_a_row", "n_gates_negative",
-                                         "n_params_a_float", "n_params_a_bool"])
+                                         "n_params_a_float", "n_params_a_bool",
+                                         "mae_a_nan_string", "mae_a_bool", "mae_1e999",
+                                         "mae_beyond_a_float", "bond_length_a_nan_string",
+                                         "bond_length_a_bool", "energy_infinite"])
     def test_malformed_result_is_upstream_error(self, tmp_path, malform):
         # the method names <out>_<method>.dat, so a path in it would write outside --out's folder
         work = tmp_path / "a" / "b"
@@ -586,12 +689,33 @@ class TestReport:
             doc["n_params"] = 12.0
         elif malform == "n_params_a_bool":
             doc["n_params"] = True
+        elif malform == "mae_a_nan_string":  # float() took these; nan and 1 reached the table
+            doc["mae"] = "nan"
+        elif malform == "mae_a_bool":
+            doc["mae"] = True
+        elif malform == "mae_1e999":  # json reads it as inf
+            doc["mae"] = "1e999"
+        elif malform == "mae_beyond_a_float":  # a JSON integer that no float holds
+            doc["mae"] = 10**400
+        elif malform == "bond_length_a_nan_string":
+            doc["points"][0]["bond_length"] = "nan"
+        elif malform == "bond_length_a_bool":
+            doc["points"][0]["bond_length"] = True
+        elif malform == "energy_infinite":
+            doc["points"][0]["energy"] = float("inf")
         else:
             doc["mae"] = "small"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(doc).replace('"1e999"', "1e999"))
         assert run("report", p, "--out", work / "t.csv") == EXIT_UPSTREAM
         assert sorted(f.relative_to(tmp_path).as_posix() for f in tmp_path.rglob("*")) == [
             "a", "a/b", "a/b/r.json"]
+
+    def test_integers_are_numbers(self, tmp_path):
+        p = tmp_path / "r.json"
+        self._result(p, "uccsd", 0, points=[{"bond_length": 1, "energy": -1}])
+        assert run("report", p, "--out", tmp_path / "t.csv") == EXIT_OK
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == "uccsd,0,10,3"
+        assert (tmp_path / "t.csv_uccsd.dat").read_text() == "1 -1\n"
 
     def test_duplicate_method_is_usage_error(self, tmp_path, capsys):
         # both would write table.csv_uccsd.dat, the second over the first
